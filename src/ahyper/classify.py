@@ -28,6 +28,7 @@ from .errors import (
     InternalError,
 )
 from .lattice import (
+    PARAMETER_CACHE_SIZE,
     IntMatrix,
     LatticeBasis,
     affine_residue,
@@ -49,7 +50,7 @@ from .semigroup import (
     is_normal,
     numerical_semigroup,
 )
-from .toric import BPoly, _minimal_inhomogeneous_solutions, b_ideal, b_poly_avoiding
+from .toric import BPoly, b_ideal, b_poly_avoiding, shift_pair
 from .weyl import SymmetryOperator, contiguity_operator
 
 
@@ -92,7 +93,7 @@ def profile_difference(p: EProfile, q: EProfile):
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def _residue_table(A: IntMatrix, beta: tuple[Fraction, ...]):
     return e_profile(A, beta).residue_table()
 
@@ -143,7 +144,7 @@ def iso_witness(A: IntMatrix, beta, beta2) -> IsoWitness:
         # beta + chi avoids V(B_chi), so reaching this is a defect
         raise InternalError(WITNESS_FAILURE, "no avoidance polynomial for a matching pair")
 
-    u, v = min(_minimal_inhomogeneous_solutions(A, chi))
+    u, v = shift_pair(A, chi)
     op_plus = contiguity_operator(A, chi, p_plus, u, v)
     op_minus = contiguity_operator(A, neg, p_minus, v, u)
 

@@ -52,7 +52,7 @@ from .lattice import (
 )
 from .semigroup import in_NA, is_normal
 from .series import apply_operator, check_solution, minimal_negative_support, phi_v
-from .toric import BPoly, _minimal_inhomogeneous_solutions, b_ideal, b_poly_avoiding
+from .toric import BPoly, b_ideal, b_poly_avoiding, shift_pair
 from .weyl import contiguity_operator, verify_certificate, verify_weight
 
 SCHEMA_VERSION = "1"
@@ -440,7 +440,7 @@ def _cmd_contig(args):
     else:
         poly = _canonical_member(B)
         diagnostics.append("canonical member used; pass -b to target a parameter")
-    u, v = min(_minimal_inhomogeneous_solutions(A, chi))
+    u, v = shift_pair(A, chi)
     op = contiguity_operator(A, chi, poly, u, v)
     echo = {"A": _matrix_rows(A), "chi": _vec_num(chi)}
     if args.b is not None:

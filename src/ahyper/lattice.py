@@ -16,6 +16,10 @@ from math import gcd
 
 from .errors import InputError, NOT_FULL_DIM, NOT_HOMOGENEOUS, NOT_SUBLATTICE, PARSE
 
+# Entries kept by each cache keyed by a parameter or shift vector: thousands
+# of distinct queries stay cached, while a long-running process stays bounded.
+PARAMETER_CACHE_SIZE = 8192
+
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))

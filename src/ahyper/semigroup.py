@@ -16,6 +16,7 @@ from math import gcd
 
 from .cone import Face, face_lattice, facets, positive_functional
 from .lattice import (
+    PARAMETER_CACHE_SIZE,
     IntMatrix,
     LatticeBasis,
     affine_residue,
@@ -46,7 +47,7 @@ def _integral(v):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def _in_na_int(A: IntMatrix, gamma: tuple[int, ...]):
     """Witness search for integral gamma; degree is forced by homogeneity."""
     h = homogeneity_witness(A)
@@ -106,7 +107,7 @@ def _face_sublattice(A: IntMatrix, tau: Face) -> LatticeBasis:
     return LatticeBasis.from_generators(A.d, [A.column(j) for j in tau.columns])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def _in_na_mod_face_int(A: IntMatrix, tau: Face, gamma: tuple[int, ...]) -> bool:
     sub = _face_sublattice(A, tau)
     g = positive_functional(A, tau)

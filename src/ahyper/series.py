@@ -10,6 +10,19 @@ support of v and [v]_w is the componentwise falling factorial.  Truncation
 is by the h-degree of the positive part u_+, which for an A-homogeneous
 configuration equals its coordinate sum; the formal sums over all of Z^n
 become finite scans recorded with their bounds.
+
+The kernel vectors of a truncation ball are found by pivot solving:
+kernel_ball picks an invertible d x d column minor of A, scans only the
+n - d other coordinates under both sign budgets, solves for the pivot
+coordinates, and keeps the integral solutions that stay within budget.
+
+apply_operator groups the monomials x^alpha d^m of an operator by their
+shift delta = alpha - m.  For each series exponent w it builds one table
+of falling factorials [w_j]_k per coordinate, k up to the largest m_j of
+the operator, kept as integers over the common denominator q_j^k; each
+(w, delta) then costs one integer sum over the group and one rational
+coefficient, and targets outside the truncation window are skipped
+before any of that work.
 """
 
 from __future__ import annotations
@@ -17,10 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 
 from .errors import NOT_MINIMAL, InputError
-from .lattice import IntMatrix, kernel_lattice, vec_add, vec_sub
+from .lattice import (
+    IntMatrix,
+    kernel_lattice,
+    rational_rank,
+    solve_rational,
+    vec_add,
+    vec_sub,
+)
 from .toric import toric_ideal
 from .weyl import WeylElement
 
@@ -52,28 +73,46 @@ def kernel_ball(A: IntMatrix, order: int) -> tuple[tuple[int, ...], ...]:
     """Integer kernel vectors whose positive part has coordinate sum <= order.
 
     Kernel vectors have equal positive and negative coordinate sums, so both
-    parts obey the budget and the coordinate scan terminates.
+    parts obey the budget and the coordinate scan terminates.  Only the
+    coordinates off an invertible column minor are scanned; each pivot
+    coordinate is (N x_free)_i / den for the integer matrix N = -den B^-1 C,
+    B the minor and C the other columns.
     """
-    n = A.n
-    cols = [A.column(j) for j in range(n)]
-    zero = (0,) * A.d
+    d, n = A.d, A.n
+    pivots = next(
+        cols
+        for cols in combinations(range(n), d)
+        if rational_rank([[A.entries[i][j] for j in cols] for i in range(d)]) == d
+    )
+    free = [j for j in range(n) if j not in pivots]
+    minor = [[A.entries[i][j] for j in pivots] for i in range(d)]
+    solved = [solve_rational(minor, tuple(-x for x in A.column(j))) for j in free]
+    den = lcm(*(x.denominator for col in solved for x in col))
+    steps = [tuple(int(x * den) for x in col) for col in solved]
     out = []
 
-    def rec(j, pos, neg, prefix, acc):
-        if j == n:
-            if acc == zero:
-                out.append(tuple(prefix))
+    def rec(k, pos, neg, prefix, acc):
+        if k == len(free):
+            u = [0] * n
+            for j, val in zip(free, prefix):
+                u[j] = val
+            for j, s in zip(pivots, acc):
+                if s % den:
+                    return
+                u[j] = s // den
+            if sum(x for x in u if x > 0) <= order and -sum(x for x in u if x < 0) <= order:
+                out.append(tuple(u))
             return
         for val in range(-neg, pos + 1):
             rec(
-                j + 1,
+                k + 1,
                 pos - max(val, 0),
                 neg + min(val, 0),
                 prefix + [val],
-                acc if not val else tuple(a + val * c for a, c in zip(acc, cols[j])),
+                acc if not val else tuple(a + val * c for a, c in zip(acc, steps[k])),
             )
 
-    rec(0, order, order, [], zero)
+    rec(0, order, order, [], (0,) * d)
     return tuple(sorted(out))
 
 
@@ -179,6 +218,19 @@ def phi_v(A: IntMatrix, v, order: int = DEFAULT_ORDER) -> FormalSeries:
     return FormalSeries(start=v, order=order, terms=terms)
 
 
+def _positive_sum(v):
+    return sum(x for x in v if x > 0)
+
+
+def _falling_table(x: Fraction, top: int):
+    """Numerators of [x]_k, k = 0..top, over the common denominator q^top."""
+    p, q = x.numerator, x.denominator
+    num = [1]
+    for t in range(top):
+        num.append(num[-1] * (p - t * q))
+    return [c * q ** (top - k) for k, c in enumerate(num)], q**top
+
+
 def apply_operator(E: WeylElement, S: FormalSeries) -> FormalSeries:
     """Act term by term and truncate to the region still known complete.
 
@@ -186,29 +238,56 @@ def apply_operator(E: WeylElement, S: FormalSeries) -> FormalSeries:
     deltas the images of the truncation ball overlap only partially, so
     the order shrinks by the largest positive-part distance between them.
     """
-    deltas = sorted({vec_sub(alpha, m) for alpha, m in E.terms})
-    if not deltas:
+    groups = {}
+    for (alpha, m), c in E.terms.items():
+        groups.setdefault(vec_sub(alpha, m), []).append((m, c))
+    if not groups:
         return FormalSeries(start=S.start, order=S.order, terms={})
+    deltas = sorted(groups)
     spreads = {
-        base: max(relative_degree(other, base) for other in deltas) for base in deltas
+        base: max(_positive_sum(vec_sub(other, base)) for other in deltas)
+        for base in deltas
     }
     base = min(deltas, key=lambda t: (spreads[t], t))
     order = S.order - spreads[base]
     start = vec_add(S.start, base)
-    terms = {}
+    n = len(S.start)
+    top = [max(m[j] for _alpha, m in E.terms) for j in range(n)]
+    live = [j for j in range(n) if top[j]]
+    scale = lcm(*(c.denominator for c in E.terms.values()))
+    # per shift: its offset from base, and each monomial's d-exponents on
+    # the live coordinates with its coefficient scaled to an integer
+    shifts = [
+        (
+            vec_sub(delta, base),
+            [(tuple(m[j] for j in live), int(c * scale)) for m, c in groups[delta]],
+        )
+        for delta in deltas
+    ]
+    # targets keyed by their offset from start, integral for canonical series
+    acc = {}
     for w, cw in S.terms.items():
-        for (alpha, m), c in E.terms.items():
-            coef = cw * c * falling(w, m)
-            if not coef:
+        offset = tuple(
+            int(x) if x.denominator == 1 else x for x in vec_sub(w, S.start)
+        )
+        tables, den = [], scale
+        for j in live:
+            table, q = _falling_table(w[j], top[j])
+            tables.append(table)
+            den *= q
+        for shift, group in shifts:
+            key = tuple(a + b for a, b in zip(offset, shift))
+            if _positive_sum(key) > order:
                 continue
-            target = tuple(x + a - b for x, a, b in zip(w, alpha, m))
-            s = terms.get(target, 0) + coef
-            if s:
-                terms[target] = s
-            elif target in terms:
-                del terms[target]
-    kept = {w: c for w, c in terms.items() if relative_degree(w, start) <= order}
-    return FormalSeries(start=start, order=order, terms=kept)
+            total = 0
+            for ms, c in group:
+                for table, k in zip(tables, ms):
+                    c *= table[k]
+                total += c
+            if total:
+                acc[key] = acc.get(key, 0) + cw * Fraction(total, den)
+    terms = {vec_add(start, key): c for key, c in acc.items()}
+    return FormalSeries(start=start, order=order, terms=terms)
 
 
 @dataclass(frozen=True)

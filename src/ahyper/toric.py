@@ -14,7 +14,14 @@ from functools import lru_cache
 
 from .cone import Face, FaceLattice, face_lattice, facets
 from .errors import InputError, InternalError, CHI_NOT_IN_LATTICE, NOT_MINIMAL
-from .lattice import IntMatrix, column_lattice, dot, kernel_lattice, vec_sub
+from .lattice import (
+    PARAMETER_CACHE_SIZE,
+    IntMatrix,
+    column_lattice,
+    dot,
+    kernel_lattice,
+    vec_sub,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +395,25 @@ def _minimal_inhomogeneous_solutions(A: IntMatrix, chi):
     return [(pos(w), neg(w)) for w in minimals]
 
 
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
+def minimal_solutions(A: IntMatrix, chi: tuple[int, ...]):
+    """The minimal (u, v) with A(u - v) = chi, searched once per (A, chi)."""
+    return tuple(_minimal_inhomogeneous_solutions(A, chi))
+
+
+def shift_pair(A: IntMatrix, chi: tuple[int, ...]):
+    """The minimal (u, v) of least total degree |u| + |v|, ties broken
+    lexicographically; contiguity operators for chi take d^u and d^v as
+    their right factors, so a lower degree means less to reduce."""
+    return min(minimal_solutions(A, chi), key=lambda p: (sum(p[0]) + sum(p[1]), p))
+
+
 @lru_cache(maxsize=None)
 def m_chi(A: IntMatrix, chi: tuple[int, ...]) -> MonomialIdeal:
     """The monomial ideal of exponents u with Au in chi + NA."""
     if column_lattice(A).member(chi) is None:
         raise InputError(CHI_NOT_IN_LATTICE, f"{chi} is not in the column lattice")
-    sols = _minimal_inhomogeneous_solutions(A, chi)
+    sols = minimal_solutions(A, chi)
     gens = _antichain(u for u, _v in sols)
     if not gens:
         raise InternalError(NOT_MINIMAL, "M_chi of a lattice element cannot be empty")

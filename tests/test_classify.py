@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from ahyper import toric
 from ahyper.classify import (
+    _residue_table,
     classify_curve,
     classify_normal,
     curve_facet_indices,
@@ -34,8 +36,21 @@ from ahyper.errors import (
     PARSE,
     InputError,
 )
-from ahyper.lattice import IntMatrix, affine_residue, vec_add, vec_sub
-from ahyper.semigroup import _face_sublattice, e_tau, in_NA, resonance
+from ahyper.lattice import (
+    PARAMETER_CACHE_SIZE,
+    IntMatrix,
+    affine_residue,
+    vec_add,
+    vec_sub,
+)
+from ahyper.semigroup import (
+    _face_sublattice,
+    _in_na_int,
+    _in_na_mod_face_int,
+    e_tau,
+    in_NA,
+    resonance,
+)
 from ahyper.series import apply_operator, check_solution, phi_v
 from ahyper.weyl import verify_certificate, verify_weight, weyl_one
 
@@ -342,6 +357,55 @@ def test_iso_witness_seminonresonant_column_shift():
     assert w.scalar == w.p_plus.evaluate(beta2)
     S = phi_v(A_SMALL, (Fraction(1, 5), 0, 0, Fraction(1, 7)), order=8)
     assert check_solution(A_SMALL, A_SMALL.apply((Fraction(1, 5), 0, 0, Fraction(1, 7))), S).ok
+
+
+def test_iso_witness_searches_each_shift_once(monkeypatch):
+    searched = []
+    search = toric._minimal_inhomogeneous_solutions
+
+    def counted(A, chi):
+        searched.append((A, tuple(chi)))
+        return search(A, chi)
+
+    monkeypatch.setattr(toric, "_minimal_inhomogeneous_solutions", counted)
+    # a matrix no other test uses, so no cache holds its searches yet
+    A = IntMatrix(((1, 1, 1, 1), (0, 1, 2, 5)))
+    beta = GENERIC[:2]
+    chi = vec_add(A.column(1), A.column(2))
+    w = iso_witness(A, beta, vec_add(beta, chi))
+    neg = tuple(-x for x in chi)
+    assert sorted(searched) == sorted([(A, chi), (A, neg)])
+    assert (w.op_plus.shift_plus, w.op_plus.shift_minus) == toric.shift_pair(A, chi)
+    iso_witness(A, beta, vec_add(beta, chi))
+    assert len(searched) == 2
+
+
+def test_iso_witness_takes_the_lowest_degree_shift_pair():
+    # (u, v) = (e_2, 0) solves A(u - v) = (1, 1) with degree 1; the
+    # lexicographically least minimal solution has degree 5
+    chi = (1, 1)
+    w = iso_witness(A_SMALL, GENERIC[:2], vec_add(GENERIC[:2], chi))
+    assert w.op_plus.shift_plus == (0, 1, 0, 0)
+    assert w.op_plus.shift_minus == (0, 0, 0, 0)
+    assert (w.op_minus.shift_plus, w.op_minus.shift_minus) == ((0,) * 4, (0, 1, 0, 0))
+    assert verify_certificate(w.op_plus, A_SMALL)
+    assert verify_certificate(w.op_minus, A_SMALL)
+
+
+def test_parameter_caches_stay_bounded():
+    caches = (_residue_table, _in_na_int, _in_na_mod_face_int)
+    for cached in caches + (toric.minimal_solutions,):
+        assert cached.cache_parameters()["maxsize"] == PARAMETER_CACHE_SIZE
+    extra = PARAMETER_CACHE_SIZE + 10
+    ray_pair = IntMatrix(((1, 1), (0, 1)))
+    tau = face_lattice(A_DEMO).proper_faces()[1]
+    for k in range(extra):
+        _residue_table(ray_pair, (Fraction(k, extra), Fraction(1, 2)))
+        # negative degree: answered at once, but still a distinct entry
+        _in_na_int(A_DEMO, (-1 - k, 0, 0))
+        _in_na_mod_face_int(A_DEMO, tau, (-1 - k, 0, 0))
+    for cached in caches:
+        assert cached.cache_info().currsize == PARAMETER_CACHE_SIZE
 
 
 def test_profile_shift_coherence_random():

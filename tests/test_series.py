@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from ahyper.classify import iso_witness
 from ahyper.errors import InputError
-from ahyper.lattice import IntMatrix, vec_add
+from ahyper.lattice import IntMatrix, vec_add, vec_sub
 from ahyper.toric import b_ideal, b_poly_avoiding, toric_ideal
 from ahyper.series import (
     FormalSeries,
@@ -19,13 +20,76 @@ from ahyper.series import (
     phi_v,
     relative_degree,
 )
-from ahyper.weyl import contiguity_operator, weyl_d, weyl_one, weyl_theta
+from ahyper.weyl import (
+    WeylElement,
+    contiguity_operator,
+    weyl_d,
+    weyl_monomial,
+    weyl_one,
+    weyl_theta,
+    weyl_x,
+)
 
 A_DEMO = IntMatrix(((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0)))
 A_SMALL = IntMatrix(((1, 1, 1, 1), (0, 1, 3, 4)))
 A_CURVE = IntMatrix(((1, 1, 1, 1, 1), (0, 2, 4, 7, 9)))
+A_WIDE = IntMatrix(((1, 1, 1, 1, 1), (0, 0, 1, 1, 2), (0, 1, 0, 1, 1)))
 
 F = Fraction
+
+
+def box_scan_kernel_ball(A, order):
+    """Reference: every integer vector with both sign budgets <= order,
+    kept when A sends it to zero."""
+    n = A.n
+    cols = [A.column(j) for j in range(n)]
+    zero = (0,) * A.d
+    out = []
+
+    def rec(j, pos, neg, prefix, acc):
+        if j == n:
+            if acc == zero:
+                out.append(tuple(prefix))
+            return
+        for val in range(-neg, pos + 1):
+            rec(
+                j + 1,
+                pos - max(val, 0),
+                neg + min(val, 0),
+                prefix + [val],
+                acc if not val else tuple(a + val * c for a, c in zip(acc, cols[j])),
+            )
+
+    rec(0, order, order, [], zero)
+    return tuple(sorted(out))
+
+
+def termwise_apply(E, S):
+    """Reference: one falling factorial and one target per pair of a series
+    term and an operator term, truncated to the same window."""
+    deltas = sorted({vec_sub(alpha, m) for alpha, m in E.terms})
+    if not deltas:
+        return FormalSeries(start=S.start, order=S.order, terms={})
+    spreads = {
+        base: max(relative_degree(other, base) for other in deltas) for base in deltas
+    }
+    base = min(deltas, key=lambda t: (spreads[t], t))
+    order = S.order - spreads[base]
+    start = vec_add(S.start, base)
+    terms = {}
+    for w, cw in S.terms.items():
+        for (alpha, m), c in E.terms.items():
+            coef = cw * c * falling(w, m)
+            if not coef:
+                continue
+            target = tuple(x + a - b for x, a, b in zip(w, alpha, m))
+            s = terms.get(target, 0) + coef
+            if s:
+                terms[target] = s
+            elif target in terms:
+                del terms[target]
+    kept = {w: c for w, c in terms.items() if relative_degree(w, start) <= order}
+    return FormalSeries(start=start, order=order, terms=kept)
 
 
 def test_nsupp_counts_negative_integers_only():
@@ -59,6 +123,14 @@ def test_kernel_ball_against_box_scan():
                         brute.add(u)
     assert ball == brute
     assert all(tuple(-x for x in u) in ball for u in ball)
+
+
+def test_kernel_ball_pivot_solve_matches_box_scan():
+    ball = kernel_ball(A_WIDE, 8)
+    assert len(ball) == 65
+    assert ball == box_scan_kernel_ball(A_WIDE, 8)
+    for A in (A_DEMO, A_SMALL, A_CURVE):
+        assert kernel_ball(A, 5) == box_scan_kernel_ball(A, 5)
 
 
 def test_minimal_negative_support_examples():
@@ -228,3 +300,37 @@ def test_action_on_random_small_matrix():
     T = apply_operator(op.element, S)
     rep = check_solution(A_SMALL, vec_add(beta, chi), T)
     assert rep.euler_exact and rep.ok
+
+
+def test_apply_operator_matches_termwise_reference():
+    cases = [
+        (A_DEMO, (F(1, 2), F(1, 3), F(1, 5), F(1, 7)), [(1, 0, 1)]),
+        (A_SMALL, (F(1, 5), 0, 0, F(1, 7)), [(1, 1)]),
+        (A_WIDE, (F(1, 2), F(1, 3), 0, F(1, 5), 0), [(1, 0, 0), (2, 1, 1)]),
+    ]
+    compared = 0
+    for A, v, shifts in cases:
+        n = A.n
+        v = tuple(F(x) for x in v)
+        beta = A.apply(v)
+        S = phi_v(A, v, 8)
+        ops = [weyl_one(n), weyl_monomial(n, (0,) * n, (0,) * n, F(-3, 4))]
+        for j in range(n):
+            ops += [weyl_x(n, j), weyl_d(n, j), weyl_theta(n, j)]
+            e = tuple(2 if t == j else 0 for t in range(n))
+            f = tuple(1 if t == (j + 1) % n else 0 for t in range(n))
+            ops.append(weyl_monomial(n, f, e, F(5, 3)))
+        for chi in shifts:
+            w = iso_witness(A, beta, vec_add(beta, chi))
+            ops += [w.op_plus.element, w.op_minus.element]
+            ops.append(w.op_plus.element + weyl_monomial(n, (0,) * n, (1,) + (0,) * (n - 1)))
+        for E in ops:
+            for series in (S, apply_operator(ops[-1], S)):
+                assert apply_operator(E, series) == termwise_apply(E, series)
+                compared += 1
+    # a series whose start is not integral relative to its terms, and an
+    # operator with nothing in it
+    odd = FormalSeries(start=(0, 0, 0, 0), order=4, terms={(F(1, 2), 1, 2, F(-2, 3)): 7})
+    for E in (weyl_theta(4, 0), weyl_d(4, 3) + weyl_x(4, 1), WeylElement(4, {})):
+        assert apply_operator(E, odd) == termwise_apply(E, odd)
+    assert compared > 100

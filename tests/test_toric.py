@@ -34,10 +34,12 @@ from ahyper.toric import (
     grevlex_key,
     leading_term,
     m_chi,
+    minimal_solutions,
     mono_divides,
     normal_form,
     poly_add,
     poly_mul_mono,
+    shift_pair,
     standard_pairs,
     toric_ideal,
     v_b_member,
@@ -283,6 +285,21 @@ def test_m_chi_demo_pinned():
     A = IntMatrix(A_DEMO)
     assert set(m_chi(A, (1, 0, 0)).gens) == {(1, 0, 0, 0), (0, 2, 0, 1)}
     assert set(m_chi(A, (1, 0, 1)).gens) == {(0, 1, 0, 0), (1, 0, 2, 0)}
+
+
+def test_shift_pair_takes_the_lowest_total_degree():
+    A = IntMatrix(A_SMALL)
+    sols = minimal_solutions(A, (1, 1))
+    assert len(sols) == 6
+    assert min(sols) == ((0, 0, 3, 0), (0, 0, 0, 2))
+    assert shift_pair(A, (1, 1)) == ((0, 1, 0, 0), (0, 0, 0, 0))
+    # degree ties go to the lexicographically least pair
+    A = IntMatrix(A_DEMO)
+    tied = {((0, 0, 1, 0), (0, 1, 0, 1)), ((0, 1, 0, 0), (1, 0, 1, 0))}
+    sols = minimal_solutions(A, (-1, -1, 0))
+    assert tied <= set(sols)
+    assert min(sum(u) + sum(v) for u, v in sols) == 3
+    assert shift_pair(A, (-1, -1, 0)) == ((0, 0, 1, 0), (0, 1, 0, 1))
 
 
 def test_m_chi_rejects_vector_outside_lattice():
