@@ -14,6 +14,16 @@ Every subtraction along the way is logged, so the congruence
     E d^u  =  b(theta) d^v   modulo the left ideal D I_A
 
 ships with a certificate replayable by plain multiplication.
+
+The two checks on an operator form no product with it or with its
+certificate's cofactors, so they cost time linear in their sizes.  Each
+monomial x^alpha d^m is an eigenvector of [theta_j, .] with eigenvalue
+alpha_j - m_j, hence of [s_i, .] with eigenvalue (A(alpha - m))_i; since
+distinct monomials are linearly independent, [s_i, E] = chi_i E for all i
+exactly when every term of E has A(alpha - m) = chi.  Every certificate
+generator d^plus - d^minus contains no x, so right-multiplying a normally
+ordered term by it needs no reordering: it only shifts the term's m by
+plus and by minus, and the replay is one accumulation of shifted terms.
 """
 
 from __future__ import annotations
@@ -65,12 +75,26 @@ class WeylElement:
         self.n = n
         self.terms = clean
 
+    @classmethod
+    def _raw(cls, n: int, terms: dict) -> "WeylElement":
+        """Wrap terms already in normal form, without checking them.
+
+        For results computed here from valid elements: every key a pair of
+        length-n tuples of nonnegative ints, every value a nonzero Fraction.
+        """
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        return self
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def scale(self, c) -> "WeylElement":
         c = Fraction(c)
-        return WeylElement(self.n, {k: c * v for k, v in self.terms.items()})
+        if not c:
+            return WeylElement._raw(self.n, {})
+        return WeylElement._raw(self.n, {k: c * v for k, v in self.terms.items()})
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
         if self.n != other.n:
@@ -82,7 +106,7 @@ class WeylElement:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return WeylElement(self.n, out)
+        return WeylElement._raw(self.n, out)
 
     def __neg__(self) -> "WeylElement":
         return self.scale(-1)
@@ -108,10 +132,6 @@ class WeylElement:
             parts += [f"d{j + 1}" + (f"^{e}" if e > 1 else "") for j, e in enumerate(m) if e]
             bits.append("*".join([str(self.terms[alpha, m])] + parts))
         return " + ".join(bits)
-
-
-def weyl_zero(n: int) -> WeylElement:
-    return WeylElement(n, {})
 
 
 def weyl_monomial(n: int, alpha, m, c=1) -> WeylElement:
@@ -175,7 +195,7 @@ def weyl_mul(P: WeylElement, Q: WeylElement) -> WeylElement:
                     out[key] = s
                 elif key in out:
                     del out[key]
-    return WeylElement(n, out)
+    return WeylElement._raw(n, out)
 
 
 def substitute_euler(b, A: IntMatrix) -> WeylElement:
@@ -354,11 +374,11 @@ def contiguity_operator(A: IntMatrix, chi, b, u, v) -> SymmetryOperator:
                 for (alpha, m), c in new_terms.items()
             }
             divided[i] = u[i]
-        element = WeylElement(n, new_terms)
+        element = WeylElement._raw(n, new_terms)
 
     pairs = []
     for g in sorted(logged, key=lambda bi: (bi.plus, bi.minus)):
-        cof = WeylElement(n, {k: -c for k, c in logged[g].items()})
+        cof = WeylElement._raw(n, {k: -c for k, c in logged[g].items()})
         if not cof.is_zero():
             pairs.append((cof, g))
     op = SymmetryOperator(
@@ -377,27 +397,47 @@ def contiguity_operator(A: IntMatrix, chi, b, u, v) -> SymmetryOperator:
 
 
 def verify_weight(E: WeylElement, A: IntMatrix, chi) -> bool:
-    """Exact check of the commutators [s_i, E] = chi_i E for i = 1..d."""
+    """Exact check of the commutators [s_i, E] = chi_i E for i = 1..d.
+
+    Since [s_i, x^alpha d^m] = (A(alpha - m))_i x^alpha d^m and distinct
+    monomials are independent, this holds exactly when every term of E
+    has A(alpha - m) = chi; no product is formed.
+    """
     chi = tuple(chi)
-    for i in range(A.d):
-        s = euler_operator(A, i)
-        if weyl_mul(s, E) - weyl_mul(E, s) != E.scale(chi[i]):
-            return False
-    return True
+    if len(chi) != A.d:
+        raise ValueError("weight vector does not match the row count")
+    if E.n != A.n:
+        raise ValueError("mixed variable counts")
+    return all(A.apply(vec_sub(alpha, m)) == chi for alpha, m in E.terms)
 
 
 def verify_certificate(op: SymmetryOperator, A: IntMatrix) -> bool:
-    """Replay the reduction log and compare with E d^u - b(theta) d^v."""
+    """Replay the reduction log and compare with E d^u - b(theta) d^v.
+
+    A generator d^plus - d^minus contains no x, so cof * (d^plus - d^minus)
+    is cof with each term's m shifted by plus, minus the same shifted by
+    minus; the shifted terms of all pairs go into one sum.
+    """
     n = A.n
     lhs = _shift_partials(op.element, op.shift_plus) - _shift_partials(
         substitute_euler(op.b, A), op.shift_minus
     )
-    total = weyl_zero(n)
-    zero = (0,) * n
+    total = {}
     for cof, g in op.certificate.pairs:
-        gen = WeylElement(n, {(zero, g.plus): Fraction(1), (zero, g.minus): Fraction(-1)})
-        total = total + weyl_mul(cof, gen)
-    return lhs == total
+        if cof.n != n:
+            raise ValueError("mixed variable counts")
+        if len(g.plus) != n or len(g.minus) != n or min(g.plus + g.minus, default=0) < 0:
+            raise ValueError("exponent pair does not fit the variable count")
+        gen = g.as_poly().items()
+        for (alpha, m), c in cof.terms.items():
+            for w, sign in gen:
+                key = (alpha, vec_add(m, w))
+                s = total.get(key, 0) + sign * c
+                if s:
+                    total[key] = s
+                elif key in total:
+                    del total[key]
+    return lhs.terms == total
 
 
 def in_left_toric_ideal(A: IntMatrix, E: WeylElement) -> bool:

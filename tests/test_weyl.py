@@ -1,13 +1,16 @@
 """Weyl arithmetic, Euler substitution, contiguity operators, certificates."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from ahyper.classify import iso_witness
 from ahyper.errors import InputError, InternalError
-from ahyper.lattice import IntMatrix, vec_sub
-from ahyper.toric import BPoly, b_ideal, b_poly_avoiding, toric_ideal
+from ahyper.lattice import IntMatrix, vec_add, vec_sub
+from ahyper.toric import Binomial, BPoly, b_ideal, b_poly_avoiding, toric_ideal
 from ahyper import weyl
 from ahyper.weyl import (
     Certificate,
@@ -30,6 +33,7 @@ from ahyper.weyl import (
 
 A_DEMO = IntMatrix(((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0)))
 A_SMALL = IntMatrix(((1, 1, 1, 1), (0, 1, 3, 4)))
+A_WIDE = IntMatrix(((1, 1, 1, 1, 1), (0, 0, 1, 1, 2), (0, 1, 0, 1, 1)))
 
 GENERIC = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))
 
@@ -285,3 +289,167 @@ def test_operator_weight_additive_under_product():
         P = weyl_mul(weyl_x(n, j), weyl_d(n, k))
         chi = vec_sub(cols[j], cols[k])
         assert verify_weight(P, A_SMALL, chi)
+
+
+# Reference versions of the two checks, by products: the commutators
+# [s_i, E] formed in full, and one product and one sum per certificate pair.
+
+
+def commutator_weight_check(E, A, chi):
+    chi = tuple(chi)
+    for i in range(A.d):
+        s = euler_operator(A, i)
+        if weyl_mul(s, E) - weyl_mul(E, s) != E.scale(chi[i]):
+            return False
+    return True
+
+
+def product_certificate_replay(op, A):
+    n = A.n
+    lhs = weyl._shift_partials(op.element, op.shift_plus) - weyl._shift_partials(
+        substitute_euler(op.b, A), op.shift_minus
+    )
+    total = WeylElement(n, {})
+    zero = (0,) * n
+    for cof, g in op.certificate.pairs:
+        gen = WeylElement(n, {(zero, g.plus): Fraction(1), (zero, g.minus): Fraction(-1)})
+        total = total + weyl_mul(cof, gen)
+    return lhs == total
+
+
+def witness_operators():
+    """op_plus and op_minus of iso_witness on three matrices, with A."""
+    F = Fraction
+    cases = [
+        (A_DEMO, (F(1, 2), F(1, 3), F(1, 5), F(1, 7)), [(1, 0, 1)]),
+        (A_SMALL, (F(1, 5), 0, 0, F(1, 7)), [(1, 1)]),
+        (A_WIDE, (F(1, 2), F(1, 3), 0, F(1, 5), 0), [(1, 0, 0), (2, 1, 1)]),
+    ]
+    for A, v, shifts in cases:
+        beta = A.apply(v)
+        for chi in shifts:
+            w = iso_witness(A, beta, vec_add(beta, chi))
+            yield A, w.op_plus
+            yield A, w.op_minus
+
+
+def test_verify_weight_rejects_wrong_chi_length():
+    with pytest.raises(ValueError):
+        verify_weight(weyl_x(4, 2), A_DEMO, (1, 1, 1, 99))
+    with pytest.raises(ValueError):
+        verify_weight(weyl_x(4, 2), A_DEMO, (1, 1))
+    with pytest.raises(ValueError):
+        verify_weight(weyl_x(5, 2), A_DEMO, (1, 1, 1))
+    assert verify_weight(weyl_x(4, 2), A_DEMO, (1, 1, 1))
+
+
+def test_verify_weight_matches_commutators_on_monomial_products():
+    rng = random.Random(23)
+    agreed = accepted = 0
+    for A in (A_DEMO, A_SMALL, A_WIDE):
+        n = A.n
+        for _ in range(12):
+            factors, weight = [], (0,) * A.d
+            for _ in range(rng.randrange(1, 4)):
+                alpha = tuple(rng.randrange(3) for _ in range(n))
+                m = tuple(rng.randrange(3) for _ in range(n))
+                c = Fraction(rng.choice((-3, -1, 1, 2)), rng.randrange(1, 4))
+                factors.append(weyl_monomial(n, alpha, m, c))
+                weight = vec_add(weight, A.apply(vec_sub(alpha, m)))
+            P = reduce(weyl_mul, factors)
+            j = rng.randrange(n)
+            off = P + weyl_mul(P, weyl_x(n, j))  # one part of another weight
+            bumped = [tuple(x + (i == k) for i, x in enumerate(weight)) for k in range(A.d)]
+            for E in (P, off, P.scale(0)):
+                for chi in [weight, vec_add(weight, column(A, j))] + bumped:
+                    new = verify_weight(E, A, chi)
+                    assert new == commutator_weight_check(E, A, chi)
+                    agreed += 1
+                    accepted += new
+    assert agreed == 504 and 0 < accepted < agreed
+
+
+def test_checks_match_oracles_on_witness_operators():
+    checked = 0
+    for A, op in witness_operators():
+        n = A.n
+        assert verify_weight(op.element, A, op.chi)
+        assert commutator_weight_check(op.element, A, op.chi)
+        assert verify_certificate(op, A)
+        assert product_certificate_replay(op, A)
+        assert op.element == WeylElement(n, op.element.terms)
+        for cof, _g in op.certificate.pairs:
+            assert cof == WeylElement(n, cof.terms)
+
+        # a term of another weight: both weight checks and both replays reject
+        (alpha, m), _c = next(iter(op.element.terms.items()))
+        j = next(t for t in range(n) if alpha[t] == 0)
+        stray = weyl_monomial(n, tuple(int(t == j) for t in range(n)), m, 3)
+        bad = replace(op, element=op.element + stray)
+        assert not verify_weight(bad.element, A, op.chi)
+        assert not commutator_weight_check(bad.element, A, op.chi)
+        assert not verify_certificate(bad, A)
+        assert not product_certificate_replay(bad, A)
+
+        # one certificate coefficient changed, or a pair added to an empty
+        # certificate: both replays reject
+        pairs = list(op.certificate.pairs)
+        if pairs:
+            cof, g = pairs[-1]
+            key = max(cof.terms)
+            pairs[-1] = (WeylElement(n, {**cof.terms, key: cof.terms[key] + 1}), g)
+        else:
+            pairs.append((weyl_one(n), toric_ideal(A).generators[0]))
+        bad = replace(op, certificate=Certificate(pairs=tuple(pairs)))
+        assert not verify_certificate(bad, A)
+        assert not product_certificate_replay(bad, A)
+
+        # one operator coefficient changed: the weight holds, the replay fails
+        key = min(op.element.terms)
+        changed = WeylElement(n, {**op.element.terms, key: op.element.terms[key] * 2})
+        assert verify_weight(changed, A, op.chi)
+        assert commutator_weight_check(changed, A, op.chi)
+        assert not verify_certificate(replace(op, element=changed), A)
+        assert not product_certificate_replay(replace(op, element=changed), A)
+        checked += 1
+    assert checked == 8
+
+
+def test_replay_reads_a_degenerate_binomial_as_zero():
+    # d^p - d^p is zero, as Binomial.as_poly says, so such a pair adds nothing
+    A, op = next(witness_operators())
+    cof, _g = op.certificate.pairs[0]
+    p = (1,) * A.n
+    padded = Certificate(pairs=op.certificate.pairs + ((cof, Binomial(plus=p, minus=p)),))
+    assert verify_certificate(replace(op, certificate=padded), A)
+
+
+def test_verify_certificate_rejects_mismatched_shapes():
+    A, op = next(witness_operators())
+    cof, g = op.certificate.pairs[0]
+    wide = WeylElement(A.n + 1, {((0,) * (A.n + 1), (0,) * (A.n + 1)): 1})
+    short = Binomial(plus=g.plus[1:], minus=g.minus[1:])
+    for pair in ((wide, g), (cof, short)):
+        with pytest.raises(ValueError):
+            verify_certificate(replace(op, certificate=Certificate(pairs=(pair,))), A)
+
+
+def test_internal_results_match_the_validating_constructor():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randrange(1, 4)
+        P, Q = random_element(rng, n), random_element(rng, n)
+        c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        for R in (P + Q, P - Q, -P, P.scale(c), weyl_mul(P, Q)):
+            assert R == WeylElement(n, R.terms)
+            assert all(type(v) is Fraction for v in R.terms.values())
+        assert P.scale(0).is_zero() and P.scale(0).n == n
+        assert (P - P).is_zero()
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        WeylElement(2, {((0, -1), (0, 0)): 1})
+    with pytest.raises(ValueError):
+        WeylElement(2, {((0, 0, 0), (0, 0)): 1})
+    assert WeylElement(2, {((0, 1), (1, 0)): 0}).is_zero()
