@@ -15,10 +15,11 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 from .cone import Face, face_lattice, facets
 from .errors import (
+    INVARIANT_VIOLATED,
     NOT_CURVE,
     NOT_ISOMORPHIC,
     NOT_NORMAL,
@@ -37,6 +38,7 @@ from .lattice import (
     homogeneity_witness,
     nullspace_rational,
     clear_denominators,
+    smith_normal_form,
     vec_add,
     vec_sub,
 )
@@ -46,9 +48,7 @@ from .semigroup import (
     _face_sublattice,
     e_tau,
     facet_value_semigroup,
-    in_NA,
     is_normal,
-    numerical_semigroup,
 )
 from .toric import BPoly, b_ideal, b_poly_avoiding, shift_pair
 from .weyl import SymmetryOperator, contiguity_operator
@@ -230,7 +230,12 @@ def curve_facet_indices(A: IntMatrix) -> tuple[int, int]:
             first = i
         if A.n - 1 in s.zero_columns:
             last = i
-    assert first is not None and last is not None and first != last
+    if first is None or last is None or first == last:
+        raise InternalError(
+            INVARIANT_VIOLATED,
+            f"curve_facet_indices: facets through a_1 and a_n are {first} and {last} "
+            f"for A={A.entries}",
+        )
     return first, last
 
 
@@ -276,7 +281,11 @@ def curve_holes(A: IntMatrix) -> HoleSet:
                 heappush(heap, (e + dx, parts + 1, r2))
     # gcd(D) is prime to top, so <D> meets every class unless D is empty,
     # which the coprimality of the exponents confines to top = 1
-    assert len(best) == top
+    if len(best) != top:
+        raise InternalError(
+            INVARIANT_VIOLATED,
+            f"curve_holes: deficits reach {len(best)} of {top} classes for A={A.entries}",
+        )
 
     bound = 0
     for e, parts in best.values():
@@ -303,27 +312,6 @@ def curve_holes(A: IntMatrix) -> HoleSet:
             if s2.contains(e):
                 found.append(((m + e) // top, m))
     return HoleSet(matrix=A, holes=tuple(sorted(found)))
-
-
-def curve_part(A: IntMatrix, beta) -> str:
-    """Which of the five isomorphism regions an integer parameter is in."""
-    v = _as_fractions(beta)
-    if any(x.denominator != 1 for x in v):
-        raise InputError(PARSE, "region labels apply to lattice parameters only")
-    s1, s2 = curve_semigroups(A)
-    j1, j2 = curve_facet_indices(A)
-    sigma = facets(A)
-    m1 = s1.contains(sigma[j1].value(v))
-    m2 = s2.contains(sigma[j2].value(v))
-    if m1 and m2:
-        if in_NA(A, v) is not None:
-            return "semigroup"
-        return "hole"
-    if m1:
-        return "first_facet_only"
-    if m2:
-        return "second_facet_only"
-    return "neither"
 
 
 def classify_curve(A: IntMatrix, beta, beta2) -> bool:
@@ -448,27 +436,6 @@ def laurent_solution_faces(A: IntMatrix, beta) -> LaurentFaces:
 # normalized volume
 
 
-def _det(rows) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    k = len(m)
-    out = Fraction(1)
-    for i in range(k):
-        piv = next((r for r in range(i, k) if m[r][i]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            out = -out
-        out *= m[i][i]
-        inv = Fraction(1) / m[i][i]
-        for r in range(i + 1, k):
-            if m[r][i]:
-                f = m[r][i] * inv
-                for c in range(i, k):
-                    m[r][c] -= f * m[i][c]
-    return out
-
-
 def _supporting_hyperplanes(pts, dim):
     """Supporting hyperplanes of the hull spanned by point subsets.
 
@@ -526,7 +493,11 @@ def _hyperplane_coordinates(A: IntMatrix):
     pts = []
     for j in range(A.n):
         c = basis.member(vec_sub(A.column(j), base))
-        assert c is not None
+        if c is None:
+            raise InternalError(
+                INVARIANT_VIOLATED,
+                f"_hyperplane_coordinates: column {j} of A={A.entries} is off its lattice",
+            )
         pts.append(c)
     return pts, basis.rank
 
@@ -534,15 +505,22 @@ def _hyperplane_coordinates(A: IntMatrix):
 def normalized_volume(A: IntMatrix) -> int:
     """Volume of the column polytope, normalized so that a simplex spanning
     the hyperplane lattice has volume one; the two opposite star
-    triangulations must agree."""
+    triangulations must agree.  A cell's volume |det| of its integer edge
+    vectors is the product of their Smith diagonal."""
     pts, dim = _hyperplane_coordinates(A)
     if dim == 0:
         return 1
     totals = []
     for from_last in (False, True):
-        vol = Fraction(0)
+        vol = 0
         for cell in _triangulate(pts, dim, from_last):
-            vol += abs(_det([vec_sub(p, cell[0]) for p in cell[1:]]))
+            D, _S, _T = smith_normal_form(tuple(vec_sub(p, cell[0]) for p in cell[1:]))
+            vol += prod(D[i][i] for i in range(dim))
         totals.append(vol)
-    assert totals[0] == totals[1] and totals[0].denominator == 1 and totals[0] > 0
-    return int(totals[0])
+    if totals[0] != totals[1] or totals[0] <= 0:
+        raise InternalError(
+            INVARIANT_VIOLATED,
+            f"normalized_volume: star triangulations give {totals[0]} and {totals[1]} "
+            f"for A={A.entries}",
+        )
+    return totals[0]

@@ -312,6 +312,8 @@ def _series_exponent(A: IntMatrix, beta, order):
 
 
 def _cmd_witness(args):
+    if args.order < 0:
+        raise InputError(PARSE, f"--order must be nonnegative, got {args.order}")
     A = _load_matrix(args.A)
     beta = _parse_rational_vector(args.b, A.d, "-b")
     beta2 = _parse_rational_vector(args.b2, A.d, "-b2")
@@ -751,11 +753,6 @@ def main(argv=None) -> int:
     except AhgError as err:
         _print_json({"error": err.code, "detail": err.detail})
         return err.exit_code
-    threads = os.environ.get("AHG_THREADS")
-    if threads:
-        envelope["diagnostics"].append(
-            f"AHG_THREADS={threads} acknowledged; this build computes sequentially"
-        )
     _print_json(envelope)
     return code
 

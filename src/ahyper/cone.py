@@ -17,7 +17,6 @@ from math import gcd
 from .errors import InternalError, WHOLE_CONE
 from .lattice import (
     IntMatrix,
-    clear_denominators,
     column_lattice,
     dot,
     homogeneity_witness,
@@ -96,8 +95,6 @@ def facets(A: IntMatrix) -> tuple[SupportFunction, ...]:
     seen = {}
     for subset in combinations(range(n), d - 1):
         rows = [cols[j] for j in subset]
-        if rows and rational_rank(rows) != d - 1:
-            continue
         kern = nullspace_rational(rows) if rows else [
             tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(d))
         ]
@@ -177,8 +174,3 @@ def positive_functional(A: IntMatrix, tau: Face) -> tuple[Fraction, ...]:
         if inside and v != 0 or not inside and not (v > 0 and v.denominator == 1):
             raise InternalError(WHOLE_CONE, "face closure violated by positive functional")
     return g
-
-
-def facet_values(A: IntMatrix, v) -> tuple[Fraction, ...]:
-    """Evaluate every facet support function at v, in facet order."""
-    return tuple(s.value(v) for s in facets(A))

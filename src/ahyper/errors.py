@@ -46,3 +46,4 @@ WHOLE_CONE = "WHOLE_CONE"
 RIGHT_FACTOR_MISSING = "RIGHT_FACTOR_MISSING"
 NOT_IN_B_IDEAL = "NOT_IN_B_IDEAL"
 WITNESS_FAILURE = "WITNESS_FAILURE"
+INVARIANT_VIOLATED = "INVARIANT_VIOLATED"

@@ -14,7 +14,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .errors import InputError, NOT_FULL_DIM, NOT_HOMOGENEOUS, NOT_SUBLATTICE, PARSE
+from .errors import (
+    INVARIANT_VIOLATED,
+    NOT_FULL_DIM,
+    NOT_HOMOGENEOUS,
+    NOT_SUBLATTICE,
+    PARSE,
+    InputError,
+    InternalError,
+)
 
 # Entries kept by each cache keyed by a parameter or shift vector: thousands
 # of distinct queries stay cached, while a long-running process stays bounded.
@@ -31,10 +39,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
 
 
 def mat_vec(rows, v):
@@ -56,56 +60,51 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def rational_rank(rows) -> int:
-    """Rank over Q by fraction-free style Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
+def _rref(m) -> list[int]:
+    """Bring the Fraction rows m to reduced row echelon form, in place.
+
+    Returns the pivot columns in increasing order.  Columns are scanned left
+    to right and the scan stops once every row has a pivot, so the pivot
+    columns are the lexicographically first column basis.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
         piv = next((r for r in range(rank, nrows) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         inv = 1 / m[rank][col]
-        m[rank] = [inv * x for x in m[rank]]
+        row = m[rank] = [inv * x for x in m[rank]]
         for r in range(nrows):
             if r != rank and m[r][col]:
                 c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+                m[r] = [x - c * y for x, y in zip(m[r], row)]
+        pivots.append(col)
+    return pivots
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q."""
+    return len(_rref([[Fraction(x) for x in row] for row in rows]))
 
 
 def solve_rational(rows, rhs):
     """One particular solution of rows * x = rhs over Q, or None.
 
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic.  The
+    augmented matrix is eliminated once; the system is inconsistent exactly
+    when its last column holds a pivot.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    ncols = len(rows[0]) if rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [inv * x for x in aug[rank]]
-        for r in range(nrows):
-            if r != rank and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if aug[r][ncols]:
-            return None
+    pivots = _rref(aug)
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
         x[col] = aug[r][ncols]
@@ -113,28 +112,14 @@ def solve_rational(rows, rhs):
 
 
 def nullspace_rational(rows) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel over Q."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    """Basis of the right kernel over Q, one vector per free column."""
+    ncols = len(rows[0]) if rows else 0
     m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [inv * x for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots = _rref(m)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, col in enumerate(pivots):
@@ -307,14 +292,14 @@ def smith_normal_form(M):
 
 
 def invert_unimodular(U):
-    """Exact inverse of a unimodular integer matrix."""
+    """Exact inverse of a unimodular integer matrix, read off the reduced
+    form of [U | I]."""
     k = len(U)
-    cols = []
-    for j in range(k):
-        rhs = tuple(1 if i == j else 0 for i in range(k))
-        sol = solve_rational(U, rhs)
-        cols.append([int(x) for x in sol])
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(U)]
+    if _rref(m) != list(range(k)):
+        raise ValueError("matrix is not invertible")
+    return tuple(tuple(int(x) for x in row[k:]) for row in m)
 
 
 def integer_solve(rows, rhs):
@@ -456,16 +441,15 @@ class LatticeBasis:
 
 @lru_cache(maxsize=None)
 def _complement_columns(basis: LatticeBasis):
-    """Standard basis vectors completing span(basis) to the ambient space."""
-    rows = [list(v) for v in basis.vectors]
-    chosen = []
-    for i in range(basis.ambient):
-        e = [0] * basis.ambient
-        e[i] = 1
-        if rational_rank(rows + [e]) > len(rows):
-            rows.append(e)
-            chosen.append(tuple(e))
-    return tuple(chosen)
+    """Standard basis vectors completing span(basis) to the ambient space.
+
+    e_i is taken when it is independent of the basis and the e_j taken
+    before it: exactly the pivot columns of [basis | I] past the basis.
+    """
+    k, amb = basis.rank, basis.ambient
+    m = [[Fraction(v[i]) for v in basis.vectors] + [Fraction(int(i == j)) for j in range(amb)]
+         for i in range(amb)]
+    return tuple(tuple(int(i == col - k) for i in range(amb)) for col in _rref(m)[k:])
 
 
 def affine_residue(basis: LatticeBasis, v):
@@ -503,19 +487,16 @@ class QuotientResidues:
 
 def quotient_representatives(big: LatticeBasis, small: LatticeBasis) -> QuotientResidues:
     """All cosets of small inside big, canonically reduced against small."""
-    for v in small.vectors:
-        if big.member(v) is None:
-            raise InputError(NOT_SUBLATTICE, "small is not contained in big")
+    # coordinates of the small basis in the big basis, as columns
+    C = [big.member(v) for v in small.vectors]
+    if None in C:
+        raise InputError(NOT_SUBLATTICE, "small is not contained in big")
     if small.rank != big.rank:
         raise InputError(NOT_SUBLATTICE, "quotient has infinite index")
     k = big.rank
     if k == 0:
         zero = tuple(Fraction(0) for _ in range(big.ambient))
         return QuotientResidues(big, small, 1, (zero,))
-    # coordinates of the small basis in the big basis, as columns
-    C = []
-    for v in small.vectors:
-        C.append(big.member(v))
     Crows = tuple(tuple(C[j][i] for j in range(k)) for i in range(k))
     D, S, _T = smith_normal_form(Crows)
     diag = [abs(D[i][i]) for i in range(k)]
@@ -535,30 +516,37 @@ def quotient_representatives(big: LatticeBasis, small: LatticeBasis) -> Quotient
         reps.append(small.reduce_mod(tuple(vec)))
     reps = sorted(set(reps))
     if len(reps) != index:
-        raise AssertionError("coset enumeration lost representatives")
+        raise InternalError(
+            INVARIANT_VIOLATED,
+            f"quotient_representatives: {len(reps)} cosets of index {index} "
+            f"for big={big.vectors} small={small.vectors}",
+        )
     return QuotientResidues(big, small, index, tuple(reps))
+
+
+def integer_kernel(rows, ncols):
+    """Saturated basis of {x in Z^ncols : rows * x = 0}, via the Smith form.
+
+    With D = S * rows * T, the columns of T past the nonzero diagonal span
+    the kernel, and T is unimodular, so they span it over Z.
+    """
+    if not rows:
+        return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
+    D, _S, T = smith_normal_form(tuple(tuple(r) for r in rows))
+    r = sum(1 for i in range(min(len(rows), ncols)) if D[i][i])
+    return [tuple(T[i][j] for i in range(ncols)) for j in range(r, ncols)]
 
 
 @lru_cache(maxsize=None)
 def kernel_lattice(A: IntMatrix) -> LatticeBasis:
-    """Saturated lattice {u in Z^n : A u = 0}, via the Smith form of A."""
-    D, _S, T = smith_normal_form(A.entries)
-    r = A.d  # full row rank
-    gens = []
-    for j in range(r, A.n):
-        gens.append(tuple(T[i][j] for i in range(A.n)))
-    return LatticeBasis.from_generators(A.n, gens)
+    """Saturated lattice {u in Z^n : A u = 0}."""
+    return LatticeBasis.from_generators(A.n, integer_kernel(A.entries, A.n))
 
 
 @lru_cache(maxsize=None)
 def column_lattice(A: IntMatrix) -> LatticeBasis:
     """The lattice generated by the columns of A (rank d)."""
     return LatticeBasis.from_generators(A.d, A.columns())
-
-
-def lattice_member(basis: LatticeBasis, v):
-    """Integer coordinates of v in the given basis, or None."""
-    return basis.member(tuple(Fraction(x) for x in v))
 
 
 @lru_cache(maxsize=None)

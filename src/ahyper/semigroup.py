@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cone import Face, face_lattice, facets, positive_functional
+from .cone import Face, facets, positive_functional
 from .lattice import (
     PARAMETER_CACHE_SIZE,
     IntMatrix,
@@ -24,9 +24,8 @@ from .lattice import (
     column_lattice,
     dot,
     homogeneity_witness,
+    integer_kernel,
     integer_solve,
-    kernel_lattice,
-    mat_vec,
     nullspace_rational,
     quotient_representatives,
     vec_sub,
@@ -180,26 +179,12 @@ def _saturated_face_lattice(A: IntMatrix, tau: Face) -> LatticeBasis:
     FZ = tuple(tuple(dot(f, z) for z in Zcols) for f in F)
     if all(all(x == 0 for x in row) for row in FZ):
         return ZA
-    coeff_kernel = _kernel_of_rows(FZ, len(Zcols))
+    coeff_kernel = integer_kernel(FZ, len(Zcols))
     gens = [
         tuple(sum(c * z[i] for c, z in zip(coefs, Zcols)) for i in range(A.d))
         for coefs in coeff_kernel
     ]
     return LatticeBasis.from_generators(A.d, gens)
-
-
-def _kernel_of_rows(rows, ncols):
-    """Saturated integer kernel of an arbitrary integer row system."""
-    from .lattice import smith_normal_form
-
-    if not rows:
-        return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-    D, _S, T = smith_normal_form(tuple(tuple(r) for r in rows))
-    r = 0
-    for i in range(min(len(rows), ncols)):
-        if D[i][i]:
-            r += 1
-    return [tuple(T[i][j] for i in range(ncols)) for j in range(r, ncols)]
 
 
 def e_tau(A: IntMatrix, tau: Face, beta) -> ETauSet:
@@ -310,29 +295,3 @@ def facet_value_semigroup(A: IntMatrix, facet_index: int) -> NumericalSemigroup:
     s = facets(A)[facet_index]
     vals = [int(s.value(A.column(j))) for j in range(A.n)]
     return numerical_semigroup(vals)
-
-
-@dataclass(frozen=True)
-class Resonance:
-    facet_integral: tuple[bool, ...]
-    facet_natural: tuple[bool, ...]
-    nonresonant: bool
-    semi_nonresonant: bool
-
-
-def resonance(A: IntMatrix, beta) -> Resonance:
-    """Integrality flags of the facet values of beta."""
-    beta = _as_fractions(beta)
-    integral = []
-    natural = []
-    for s in facets(A):
-        v = s.value(beta)
-        isint = v.denominator == 1
-        integral.append(isint)
-        natural.append(isint and v >= 0)
-    return Resonance(
-        facet_integral=tuple(integral),
-        facet_natural=tuple(natural),
-        nonresonant=not any(integral),
-        semi_nonresonant=not any(natural),
-    )

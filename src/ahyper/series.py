@@ -11,10 +11,11 @@ is by the h-degree of the positive part u_+, which for an A-homogeneous
 configuration equals its coordinate sum; the formal sums over all of Z^n
 become finite scans recorded with their bounds.
 
-The kernel vectors of a truncation ball are found by pivot solving:
-kernel_ball picks an invertible d x d column minor of A, scans only the
-n - d other coordinates under both sign budgets, solves for the pivot
-coordinates, and keeps the integral solutions that stay within budget.
+The kernel vectors of a truncation ball are found from the rational
+kernel basis: each basis vector has one free coordinate equal to 1 and
+the other free coordinates 0, so kernel_ball scans only the n - d free
+coordinates under both sign budgets and keeps the integral combinations
+that stay within budget.
 
 apply_operator groups the monomials x^alpha d^m of an operator by their
 shift delta = alpha - m.  For each series exponent w it builds one table
@@ -30,18 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 
-from .errors import NOT_MINIMAL, InputError
-from .lattice import (
-    IntMatrix,
-    kernel_lattice,
-    rational_rank,
-    solve_rational,
-    vec_add,
-    vec_sub,
-)
+from .errors import INVARIANT_VIOLATED, NOT_MINIMAL, InputError, InternalError
+from .lattice import IntMatrix, kernel_lattice, nullspace_rational, vec_add, vec_sub
 from .toric import toric_ideal
 from .weyl import WeylElement
 
@@ -73,46 +67,33 @@ def kernel_ball(A: IntMatrix, order: int) -> tuple[tuple[int, ...], ...]:
     """Integer kernel vectors whose positive part has coordinate sum <= order.
 
     Kernel vectors have equal positive and negative coordinate sums, so both
-    parts obey the budget and the coordinate scan terminates.  Only the
-    coordinates off an invertible column minor are scanned; each pivot
-    coordinate is (N x_free)_i / den for the integer matrix N = -den B^-1 C,
-    B the minor and C the other columns.
+    parts obey the budget and the coordinate scan terminates.  Only the free
+    coordinates of the rational kernel basis are scanned: a kernel vector is
+    the combination of the basis vectors weighted by its free coordinates,
+    kept over the common denominator den.
     """
-    d, n = A.d, A.n
-    pivots = next(
-        cols
-        for cols in combinations(range(n), d)
-        if rational_rank([[A.entries[i][j] for j in cols] for i in range(d)]) == d
-    )
-    free = [j for j in range(n) if j not in pivots]
-    minor = [[A.entries[i][j] for j in pivots] for i in range(d)]
-    solved = [solve_rational(minor, tuple(-x for x in A.column(j))) for j in free]
-    den = lcm(*(x.denominator for col in solved for x in col))
-    steps = [tuple(int(x * den) for x in col) for col in solved]
+    kern = nullspace_rational(A.entries)
+    den = lcm(*(x.denominator for v in kern for x in v))
+    steps = [tuple(int(x * den) for x in v) for v in kern]
     out = []
 
-    def rec(k, pos, neg, prefix, acc):
-        if k == len(free):
-            u = [0] * n
-            for j, val in zip(free, prefix):
-                u[j] = val
-            for j, s in zip(pivots, acc):
-                if s % den:
-                    return
-                u[j] = s // den
+    def rec(k, pos, neg, acc):
+        if k == len(steps):
+            if any(s % den for s in acc):
+                return
+            u = tuple(s // den for s in acc)
             if sum(x for x in u if x > 0) <= order and -sum(x for x in u if x < 0) <= order:
-                out.append(tuple(u))
+                out.append(u)
             return
         for val in range(-neg, pos + 1):
             rec(
                 k + 1,
                 pos - max(val, 0),
                 neg + min(val, 0),
-                prefix + [val],
                 acc if not val else tuple(a + val * c for a, c in zip(acc, steps[k])),
             )
 
-    rec(0, order, order, [], (0,) * d)
+    rec(0, order, order, (0,) * A.n)
     return tuple(sorted(out))
 
 
@@ -212,8 +193,13 @@ def phi_v(A: IntMatrix, v, order: int = DEFAULT_ORDER) -> FormalSeries:
         plus = tuple(x if x > 0 else 0 for x in u)
         minus = tuple(-x if x < 0 else 0 for x in u)
         denom = falling(w, plus)
-        # zero here would contradict preservation of the negative support
-        assert denom != 0
+        if denom == 0:
+            # preserving the negative support keeps every factor nonzero
+            raise InternalError(
+                INVARIANT_VIOLATED,
+                f"phi_v: falling factorial of {w} vanishes for A={A.entries} v={v} "
+                f"order={order}",
+            )
         terms[w] = falling(v, minus) / denom
     return FormalSeries(start=v, order=order, terms=terms)
 

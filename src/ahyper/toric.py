@@ -54,12 +54,6 @@ def poly_add(p, q):
     return out
 
 
-def poly_scale(c, p):
-    if not c:
-        return {}
-    return {m: c * v for m, v in p.items()}
-
-
 def mono_mul(m1, m2):
     return tuple(a + b for a, b in zip(m1, m2))
 
@@ -77,25 +71,31 @@ def leading_term(p, key):
     return m, p[m]
 
 
-def normal_form(p, basis, key):
-    """Full reduction of p modulo the list of (poly, lt, lc) triples."""
-    out = {}
+def divide(p, basis, key):
+    """Division of p by the list of (poly, lt, lc) triples.
+
+    Returns (remainder, quotients), quotients[t] mapping monomial shifts to
+    coefficients, with p = sum_t quotients[t] * basis[t] + remainder and no
+    remainder monomial divisible by any leading term.  Each step reduces
+    the leading term by the first basis element whose leading term divides
+    it; leading terms strictly decrease, so no shift is hit twice.
+    """
     work = dict(p)
+    rem = {}
+    quots = [{} for _ in basis]
     while work:
         m, c = leading_term(work, key)
-        hit = None
-        for g, lt, lc in basis:
-            if mono_divides(lt, m):
-                hit = (g, lt, lc)
-                break
+        hit = next((t for t, (_, lt, _) in enumerate(basis) if mono_divides(lt, m)), None)
         if hit is None:
-            out[m] = c
+            rem[m] = c
             del work[m]
             continue
-        g, lt, lc = hit
+        g, lt, lc = basis[hit]
         shift = tuple(a - b for a, b in zip(m, lt))
-        work = poly_add(work, poly_mul_mono(g, shift, -c / lc))
-    return out
+        q = c / lc
+        quots[hit][shift] = q
+        work = poly_add(work, poly_mul_mono(g, shift, -q))
+    return rem, quots
 
 
 def buchberger(gens, key):
@@ -145,7 +145,7 @@ def buchberger(gens, key):
             poly_mul_mono(gi, vec_sub(lcm, lti), Fraction(1) / lci),
             poly_mul_mono(gj, vec_sub(lcm, ltj), Fraction(-1) / lcj),
         )
-        r = normal_form(s, basis, key)
+        r, _ = divide(s, basis, key)
         if r:
             lt, lc = leading_term(r, key)
             basis.append((r, lt, lc))
@@ -160,7 +160,7 @@ def buchberger(gens, key):
     reduced = []
     for i, (g, lt, lc) in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        r = normal_form(g, others, key) if others else dict(g)
+        r, _ = divide(g, others, key)
         lt2, lc2 = leading_term(r, key)
         reduced.append({m: c / lc2 for m, c in r.items()})
     reduced.sort(key=lambda p: key(leading_term(p, key)[0]))
@@ -485,15 +485,6 @@ class BIdeal:
     chi: tuple[int, ...]
     components: tuple[tuple[tuple[int, ...], Face], ...]
 
-    def subspace_keys(self):
-        """Canonical (face, facet-values) key per component subspace."""
-        sigma = facets(self.matrix)
-        keys = []
-        for point, tau in self.components:
-            vals = tuple(sigma[i].value(point) for i in tau.incident_facets)
-            keys.append((tau.columns, tau.incident_facets, vals))
-        return tuple(sorted(set(keys)))
-
 
 @lru_cache(maxsize=None)
 def b_ideal(A: IntMatrix, chi: tuple[int, ...]) -> BIdeal:
@@ -510,19 +501,6 @@ def b_ideal(A: IntMatrix, chi: tuple[int, ...]) -> BIdeal:
             comps[key] = (point, p.tau)
     ordered = tuple(comps[k] for k in sorted(comps))
     return BIdeal(matrix=A, chi=tuple(int(x) for x in chi), components=ordered)
-
-
-def v_b_member(B: BIdeal, beta) -> bool:
-    """Whether beta lies on some component subspace point + span(A cap tau)."""
-    from .semigroup import _face_sublattice
-
-    beta = tuple(Fraction(x) for x in beta)
-    for point, tau in B.components:
-        diff = vec_sub(beta, point)
-        sub = _face_sublattice(B.matrix, tau)
-        if sub.span_solve(diff) is not None:
-            return True
-    return False
 
 
 @dataclass(frozen=True)

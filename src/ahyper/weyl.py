@@ -42,18 +42,7 @@ from .errors import (
     InternalError,
 )
 from .lattice import IntMatrix, dot, vec_add, vec_sub
-from .toric import (
-    Binomial,
-    BPoly,
-    b_ideal,
-    grevlex_key,
-    leading_term,
-    mono_divides,
-    normal_form,
-    poly_add,
-    poly_mul_mono,
-    toric_ideal,
-)
+from .toric import Binomial, b_ideal, divide, grevlex_key, leading_term, toric_ideal
 
 
 class WeylElement:
@@ -157,17 +146,6 @@ def weyl_theta(n: int, j: int) -> WeylElement:
     return weyl_monomial(n, e, e)
 
 
-def euler_operator(A: IntMatrix, i: int) -> WeylElement:
-    """The operator s_i = sum_j a_ij x_j d_j."""
-    terms = {}
-    for j in range(A.n):
-        a = A.entries[i][j]
-        if a:
-            e = tuple(1 if t == j else 0 for t in range(A.n))
-            terms[e, e] = Fraction(a)
-    return WeylElement(A.n, terms)
-
-
 def weyl_mul(P: WeylElement, Q: WeylElement) -> WeylElement:
     """Exact product, normal order restored termwise.
 
@@ -220,12 +198,6 @@ def substitute_euler(b, A: IntMatrix) -> WeylElement:
             terms[(0,) * n, (0,) * n] = -Fraction(c)
         out = weyl_mul(out, WeylElement(n, terms))
     return out
-
-
-def shift_bpoly(b: BPoly, chi) -> BPoly:
-    """The polynomial s -> b(s + chi), still in factored form."""
-    chi = tuple(Fraction(x) for x in chi)
-    return BPoly(factors=tuple((f, c - dot(f, chi)) for f, c in b.factors))
 
 
 @dataclass(frozen=True)
@@ -281,32 +253,6 @@ def _b_member(b, A: IntMatrix, chi) -> bool:
     )
 
 
-def _reduce_slice(p, triples, key):
-    """Commutative division of a partial-only polynomial by a basis.
-
-    Returns (remainder, quotients) with p = sum q_t g_t + remainder and no
-    remainder monomial divisible by any leading term.
-    """
-    work = dict(p)
-    rem = {}
-    quots = [{} for _ in triples]
-    while work:
-        m, c = leading_term(work, key)
-        hit = next(
-            (t for t, (_, lt, _) in enumerate(triples) if mono_divides(lt, m)), None
-        )
-        if hit is None:
-            rem[m] = c
-            del work[m]
-            continue
-        g, lt, lc = triples[hit]
-        shift = tuple(a - b for a, b in zip(m, lt))
-        q = c / lc
-        quots[hit][shift] = quots[hit].get(shift, Fraction(0)) + q
-        work = poly_add(work, poly_mul_mono(g, shift, -q))
-    return rem, quots
-
-
 def contiguity_operator(A: IntMatrix, chi, b, u, v) -> SymmetryOperator:
     """The operator E with E d^u = b(theta) d^v modulo D I_A.
 
@@ -348,7 +294,7 @@ def contiguity_operator(A: IntMatrix, chi, b, u, v) -> SymmetryOperator:
             slices.setdefault(alpha, {})[m] = c
         new_terms = {}
         for alpha in sorted(slices):
-            rem, quots = _reduce_slice(slices[alpha], triples, key)
+            rem, quots = divide(slices[alpha], triples, key)
             for t, q in enumerate(quots):
                 if not q:
                     continue
@@ -416,7 +362,9 @@ def verify_certificate(op: SymmetryOperator, A: IntMatrix) -> bool:
 
     A generator d^plus - d^minus contains no x, so cof * (d^plus - d^minus)
     is cof with each term's m shifted by plus, minus the same shifted by
-    minus; the shifted terms of all pairs go into one sum.
+    minus; the shifted terms of all pairs go into one sum.  Each binomial
+    must lie in I_A, A plus = A minus, for the replayed identity to prove
+    the congruence modulo D I_A.
     """
     n = A.n
     lhs = _shift_partials(op.element, op.shift_plus) - _shift_partials(
@@ -428,6 +376,8 @@ def verify_certificate(op: SymmetryOperator, A: IntMatrix) -> bool:
             raise ValueError("mixed variable counts")
         if len(g.plus) != n or len(g.minus) != n or min(g.plus + g.minus, default=0) < 0:
             raise ValueError("exponent pair does not fit the variable count")
+        if A.apply(g.plus) != A.apply(g.minus):
+            return False
         gen = g.as_poly().items()
         for (alpha, m), c in cof.terms.items():
             for w, sign in gen:
@@ -438,22 +388,3 @@ def verify_certificate(op: SymmetryOperator, A: IntMatrix) -> bool:
                 elif key in total:
                     del total[key]
     return lhs.terms == total
-
-
-def in_left_toric_ideal(A: IntMatrix, E: WeylElement) -> bool:
-    """Exact membership of E in the left ideal D I_A.
-
-    Since I_A lives in the partials alone, any member is a sum of
-    x^alpha q(d) with q in I_A, so membership splits into commutative
-    normal forms slice by slice.
-    """
-    key = grevlex_key(tuple(range(A.n)))
-    triples = []
-    for g in toric_ideal(A).generators:
-        p = g.as_poly()
-        lt, lc = leading_term(p, key)
-        triples.append((p, lt, lc))
-    slices = {}
-    for (alpha, m), c in E.terms.items():
-        slices.setdefault(alpha, {})[m] = c
-    return all(not normal_form(p, triples, key) for p in slices.values())

@@ -12,12 +12,12 @@ from itertools import combinations, product
 
 import test_semigroup as ts
 import test_toric as tt
+from helpers import curve_part, v_b_member
 
 from ahyper.classify import (
     classify_curve,
     classify_normal,
     curve_holes,
-    curve_part,
     curve_semigroups,
     e_profile,
     enumerate_classes,
@@ -38,7 +38,7 @@ from ahyper.lattice import (
 )
 from ahyper.semigroup import _face_sublattice, e_tau, in_NA
 from ahyper.series import apply_operator, check_solution, phi_v
-from ahyper.toric import b_ideal, m_chi, v_b_member
+from ahyper.toric import b_ideal, m_chi
 from ahyper.weyl import verify_certificate, verify_weight
 
 A_DEMO = IntMatrix(((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0)))

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import curve_part, resonance
 
 from ahyper import toric
 from ahyper.classify import (
@@ -18,7 +19,6 @@ from ahyper.classify import (
     classify_normal,
     curve_facet_indices,
     curve_holes,
-    curve_part,
     curve_semigroups,
     e_profile,
     enumerate_classes,
@@ -49,7 +49,6 @@ from ahyper.semigroup import (
     _in_na_mod_face_int,
     e_tau,
     in_NA,
-    resonance,
 )
 from ahyper.series import apply_operator, check_solution, phi_v
 from ahyper.weyl import verify_certificate, verify_weight, weyl_one

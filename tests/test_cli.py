@@ -154,6 +154,7 @@ def test_input_error_exit_codes():
         (("classify", "-A", DEMO, "-b", "0,0,0"), "PARSE"),
         (("faces", "-A", '{"A": [[1.5,1],[0,1]]}'), "PARSE"),
         (("faces", "-A", "not json and not rows"), "PARSE"),
+        (("witness", "-A", DEMO, "-b", "0,1,1", "-b2", "1,1,2", "--order", "-1"), "PARSE"),
     ]
     for argv, expected in cases:
         code, text = run_cli(*argv)

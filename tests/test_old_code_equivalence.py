@@ -1,0 +1,437 @@
+"""The shared elimination and division routines against the code they replaced.
+
+Each oracle below is the earlier implementation, copied with its
+asserts dropped and its calls pointed at the other oracles: three
+separate Gauss-Jordan loops for rank, solve and kernel, a fourth for the
+determinant, k separate solves for a unimodular inverse, the greedy rank
+test for a complement, a kernel ball scanned off an invertible minor, and
+two copies of the polynomial division loop.  The new code must return
+exactly what they return.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import lcm, prod
+
+from ahyper.classify import _hyperplane_coordinates, _triangulate, normalized_volume
+from ahyper.lattice import (
+    IntMatrix,
+    LatticeBasis,
+    _complement_columns,
+    invert_unimodular,
+    nullspace_rational,
+    rational_rank,
+    smith_normal_form,
+    solve_rational,
+    vec_sub,
+)
+from ahyper.series import kernel_ball
+from ahyper.toric import (
+    divide,
+    grevlex_key,
+    leading_term,
+    mono_divides,
+    poly_add,
+    poly_mul_mono,
+    toric_ideal,
+)
+
+# the benchmark's witness matrices
+WITNESS_MATRICES = (
+    ((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0)),
+    ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, -1)),
+    ((1, 1, 1, 1, 1), (0, 0, 1, 1, 2), (0, 1, 0, 1, 1)),
+    ((1, 1, 1, 1), (0, 1, 3, 4)),
+    ((1, 1, 1, 1), (0, 2, 3, 5)),
+)
+
+
+# ---------------------------------------------------------------------------
+# the replaced code
+
+
+def old_rational_rank(rows) -> int:
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [inv * x for x in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col]:
+                c = m[r][col]
+                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def old_solve_rational(rows, rhs):
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if aug[r][col]), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = 1 / aug[rank][col]
+        aug[rank] = [inv * x for x in aug[rank]]
+        for r in range(nrows):
+            if r != rank and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[rank])]
+        pivots.append(col)
+        rank += 1
+    for r in range(rank, nrows):
+        if aug[r][ncols]:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][ncols]
+    return tuple(x)
+
+
+def old_nullspace_rational(rows):
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [inv * x for x in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col]:
+                c = m[r][col]
+                m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -m[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def old_det(rows) -> Fraction:
+    m = [list(map(Fraction, r)) for r in rows]
+    k = len(m)
+    out = Fraction(1)
+    for i in range(k):
+        piv = next((r for r in range(i, k) if m[r][i]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            out = -out
+        out *= m[i][i]
+        inv = Fraction(1) / m[i][i]
+        for r in range(i + 1, k):
+            if m[r][i]:
+                f = m[r][i] * inv
+                for c in range(i, k):
+                    m[r][c] -= f * m[i][c]
+    return out
+
+
+def old_invert_unimodular(U):
+    k = len(U)
+    cols = []
+    for j in range(k):
+        rhs = tuple(1 if i == j else 0 for i in range(k))
+        sol = old_solve_rational(U, rhs)
+        cols.append([int(x) for x in sol])
+    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+
+
+def old_complement_columns(basis):
+    rows = [list(v) for v in basis.vectors]
+    chosen = []
+    for i in range(basis.ambient):
+        e = [0] * basis.ambient
+        e[i] = 1
+        if old_rational_rank(rows + [e]) > len(rows):
+            rows.append(e)
+            chosen.append(tuple(e))
+    return tuple(chosen)
+
+
+def old_kernel_ball(A, order):
+    d, n = A.d, A.n
+    pivots = next(
+        cols
+        for cols in combinations(range(n), d)
+        if old_rational_rank([[A.entries[i][j] for j in cols] for i in range(d)]) == d
+    )
+    free = [j for j in range(n) if j not in pivots]
+    minor = [[A.entries[i][j] for j in pivots] for i in range(d)]
+    solved = [old_solve_rational(minor, tuple(-x for x in A.column(j))) for j in free]
+    den = lcm(*(x.denominator for col in solved for x in col))
+    steps = [tuple(int(x * den) for x in col) for col in solved]
+    out = []
+
+    def rec(k, pos, neg, prefix, acc):
+        if k == len(free):
+            u = [0] * n
+            for j, val in zip(free, prefix):
+                u[j] = val
+            for j, s in zip(pivots, acc):
+                if s % den:
+                    return
+                u[j] = s // den
+            if sum(x for x in u if x > 0) <= order and -sum(x for x in u if x < 0) <= order:
+                out.append(tuple(u))
+            return
+        for val in range(-neg, pos + 1):
+            rec(
+                k + 1,
+                pos - max(val, 0),
+                neg + min(val, 0),
+                prefix + [val],
+                acc if not val else tuple(a + val * c for a, c in zip(acc, steps[k])),
+            )
+
+    rec(0, order, order, [], (0,) * d)
+    return tuple(sorted(out))
+
+
+def old_normal_form(p, basis, key):
+    out = {}
+    work = dict(p)
+    while work:
+        m, c = leading_term(work, key)
+        hit = None
+        for g, lt, lc in basis:
+            if mono_divides(lt, m):
+                hit = (g, lt, lc)
+                break
+        if hit is None:
+            out[m] = c
+            del work[m]
+            continue
+        g, lt, lc = hit
+        shift = tuple(a - b for a, b in zip(m, lt))
+        work = poly_add(work, poly_mul_mono(g, shift, -c / lc))
+    return out
+
+
+def old_reduce_slice(p, triples, key):
+    work = dict(p)
+    rem = {}
+    quots = [{} for _ in triples]
+    while work:
+        m, c = leading_term(work, key)
+        hit = next(
+            (t for t, (_, lt, _) in enumerate(triples) if mono_divides(lt, m)), None
+        )
+        if hit is None:
+            rem[m] = c
+            del work[m]
+            continue
+        g, lt, lc = triples[hit]
+        shift = tuple(a - b for a, b in zip(m, lt))
+        q = c / lc
+        quots[hit][shift] = quots[hit].get(shift, Fraction(0)) + q
+        work = poly_add(work, poly_mul_mono(g, shift, -q))
+    return rem, quots
+
+
+# ---------------------------------------------------------------------------
+# elimination
+
+
+def random_rows(rng, nrows, ncols):
+    """Small integer rows, often rank-deficient, with zero rows and columns."""
+    rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+    shape = rng.randrange(4)
+    if shape == 1 and nrows >= 2:
+        # a row that combines two others
+        a, b = rng.sample(range(nrows), 2)
+        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        rows[a] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    elif shape == 2 and nrows:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    elif shape == 3:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    return [tuple(r) for r in rows]
+
+
+def random_rhs(rng, rows, ncols):
+    if rows and rng.random() < 0.5:
+        # consistent: the image of a rational vector
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+        return tuple(sum(a * b for a, b in zip(r, x)) for r in rows)
+    return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in rows)
+
+
+def test_rank_solve_and_kernel_match_the_separate_eliminations():
+    rng = random.Random(8101)
+    shapes = solved = 0
+    for _ in range(1500):
+        nrows = rng.randint(0, 4)
+        ncols = rng.randint(1, 6)
+        rows = random_rows(rng, nrows, ncols)
+        rhs = random_rhs(rng, rows, ncols)
+        assert rational_rank(rows) == old_rational_rank(rows)
+        assert nullspace_rational(rows) == old_nullspace_rational(rows)
+        new = solve_rational(rows, rhs)
+        assert new == old_solve_rational(rows, rhs)
+        shapes += old_rational_rank(rows) < nrows
+        solved += new is not None
+    # the sample covers rank-deficient systems and both solve outcomes
+    assert shapes > 300 and 300 < solved < 1400
+
+
+def test_zero_column_and_empty_systems():
+    for rows, rhs in (([], ()), ([()], (0,)), ([()], (1,)), ([(), ()], (0, Fraction(1, 2)))):
+        assert solve_rational(rows, rhs) == old_solve_rational(rows, rhs)
+        assert rational_rank(rows) == old_rational_rank(rows)
+        assert nullspace_rational(rows) == old_nullspace_rational(rows)
+
+
+def random_unimodular(rng, k):
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        if i == j:
+            U[i] = [-x for x in U[i]]
+        else:
+            c = rng.randint(-3, 3)
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return tuple(tuple(r) for r in U)
+
+
+def test_invert_unimodular_matches_columnwise_solves():
+    rng = random.Random(8102)
+    for _ in range(300):
+        k = rng.randint(0, 5)
+        U = random_unimodular(rng, k)
+        assert invert_unimodular(U) == old_invert_unimodular(U)
+    # the Smith transforms, the inverses the library actually takes
+    for _ in range(200):
+        d, n = rng.randint(1, 4), rng.randint(1, 5)
+        _D, S, T = smith_normal_form(tuple(random_rows(rng, d, n)))
+        for M in (S, T):
+            assert invert_unimodular(M) == old_invert_unimodular(M)
+
+
+def test_smith_diagonal_product_is_the_absolute_determinant():
+    rng = random.Random(8103)
+    singular = 0
+    for _ in range(600):
+        k = rng.randint(1, 5)
+        rows = tuple(random_rows(rng, k, k))
+        D, _S, _T = smith_normal_form(rows)
+        vol = prod(D[i][i] for i in range(k))
+        assert vol == abs(old_det(rows))
+        singular += vol == 0
+    assert singular > 50
+
+
+def old_normalized_volume(A):
+    pts, dim = _hyperplane_coordinates(A)
+    if dim == 0:
+        return 1
+    totals = []
+    for from_last in (False, True):
+        vol = Fraction(0)
+        for cell in _triangulate(pts, dim, from_last):
+            vol += abs(old_det([vec_sub(p, cell[0]) for p in cell[1:]]))
+        totals.append(vol)
+    return int(totals[0])
+
+
+def test_normalized_volume_matches_the_determinant_version():
+    matrices = WITNESS_MATRICES + (
+        ((1, 1, 1, 1, 1), (0, 2, 4, 7, 9)),
+        ((1, 1, 1, 1, 1, 1), (0, 1, 2, 0, 1, 0), (0, 0, 0, 1, 1, 2)),
+        ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1)),
+        ((1, 1), (0, 2)),
+    )
+    for rows in matrices:
+        A = IntMatrix(rows)
+        assert normalized_volume(A) == old_normalized_volume(A)
+
+
+def test_complement_matches_the_greedy_rank_test():
+    rng = random.Random(8104)
+    for _ in range(400):
+        amb = rng.randint(0, 5)
+        gens = random_rows(rng, rng.randint(0, 4), amb) if amb else []
+        basis = LatticeBasis.from_generators(amb, gens)
+        assert _complement_columns(basis) == old_complement_columns(basis)
+
+
+def test_kernel_ball_matches_the_minor_scan():
+    for rows in WITNESS_MATRICES + (((1, 1, 1, 1, 1), (0, 2, 4, 7, 9)), ((1, 1), (0, 2))):
+        A = IntMatrix(rows)
+        for order in (0, 3, 8):
+            assert kernel_ball(A, order) == old_kernel_ball(A, order)
+
+
+# ---------------------------------------------------------------------------
+# division
+
+
+def division_cases():
+    """S-polynomials of the Groebner bases of the witness matrices, divided
+    by those bases, and random polynomials divided by the bases and by the
+    generators (not a Groebner basis, so remainders are left)."""
+    rng = random.Random(8105)
+    for rows in WITNESS_MATRICES:
+        A = IntMatrix(rows)
+        n = A.n
+        ideal = toric_ideal(A)
+        gens = [g.as_poly() for g in ideal.generators]
+        for lowest in range(n):
+            key = grevlex_key(tuple(j for j in range(n) if j != lowest) + (lowest,))
+            G = ideal.groebner(lowest)
+            triples = [(g,) + leading_term(g, key) for g in G]
+            gen_triples = [(g,) + leading_term(g, key) for g in gens]
+            for (gi, lti, lci), (gj, ltj, lcj) in combinations(triples, 2):
+                lcm_ = tuple(max(a, b) for a, b in zip(lti, ltj))
+                s = poly_add(
+                    poly_mul_mono(gi, vec_sub(lcm_, lti), Fraction(1) / lci),
+                    poly_mul_mono(gj, vec_sub(lcm_, ltj), Fraction(-1) / lcj),
+                )
+                yield s, triples, key
+                yield s, gen_triples, key
+            for _ in range(6):
+                p = {}
+                for _ in range(rng.randint(1, 6)):
+                    m = tuple(rng.randint(0, 4) for _ in range(n))
+                    p[m] = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+                yield p, triples, key
+                yield p, gen_triples, key
+
+
+def test_divide_matches_both_old_division_loops():
+    cases = nonzero = 0
+    for p, basis, key in division_cases():
+        rem, quots = divide(p, basis, key)
+        assert rem == old_normal_form(p, basis, key)
+        assert (rem, quots) == old_reduce_slice(p, basis, key)
+        cases += 1
+        nonzero += bool(rem)
+    assert cases > 300 and nonzero > 100

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from helpers import resonance
 
 from ahyper.cone import face_lattice, facets
 from ahyper.lattice import (
@@ -33,7 +34,6 @@ from ahyper.semigroup import (
     is_normal,
     numerical_semigroup,
     quotient_representatives,
-    resonance,
 )
 
 A_DEMO = ((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0))

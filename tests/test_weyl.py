@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from helpers import euler_operator, in_left_toric_ideal, shift_bpoly
 
 from ahyper.classify import iso_witness
 from ahyper.errors import InputError, InternalError
@@ -17,9 +18,6 @@ from ahyper.weyl import (
     SymmetryOperator,
     WeylElement,
     contiguity_operator,
-    euler_operator,
-    in_left_toric_ideal,
-    shift_bpoly,
     substitute_euler,
     verify_certificate,
     verify_weight,
@@ -216,6 +214,16 @@ def test_tampered_certificate_fails():
         certificate=Certificate(pairs=((cof.scale(2), gen),) + op.certificate.pairs[1:]),
     )
     assert not verify_certificate(scaled, A_DEMO)
+    # d^plus - d^minus split into d^plus - 1 and 1 - d^minus replays to the
+    # same sum, but neither half lies in I_A: A plus = (3, 2, 2), A 0 = 0
+    zero = (0,) * A_DEMO.n
+    assert A_DEMO.apply(gen.plus) == (3, 2, 2)
+    split = replace(op, certificate=Certificate(
+        pairs=((cof, Binomial(plus=gen.plus, minus=zero)),
+               (cof, Binomial(plus=zero, minus=gen.minus))) + op.certificate.pairs[1:]
+    ))
+    assert product_certificate_replay(split, A_DEMO)
+    assert not verify_certificate(split, A_DEMO)
 
 
 def test_left_ideal_membership():
