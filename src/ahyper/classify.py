@@ -32,7 +32,6 @@ from .lattice import (
     PARAMETER_CACHE_SIZE,
     IntMatrix,
     LatticeBasis,
-    affine_residue,
     column_lattice,
     dot,
     homogeneity_witness,
@@ -45,7 +44,6 @@ from .lattice import (
 from .semigroup import (
     ETauSet,
     NumericalSemigroup,
-    _face_sublattice,
     e_tau,
     facet_value_semigroup,
     is_normal,
@@ -402,12 +400,9 @@ class LaurentFaces:
 
 def _zero_residue_in(A: IntMatrix, tau: Face, beta) -> bool:
     """Whether the zero coset belongs to E_tau(beta)."""
+    # the zero vector is its own canonical residue modulo any lattice
     zero = tuple(Fraction(0) for _ in range(A.d))
-    if tau.is_whole_cone():
-        sub = column_lattice(A)
-    else:
-        sub = _face_sublattice(A, tau)
-    return affine_residue(sub, zero) in e_tau(A, tau, beta).residues
+    return zero in e_tau(A, tau, beta).residues
 
 
 def laurent_solution_faces(A: IntMatrix, beta) -> LaurentFaces:

@@ -36,6 +36,7 @@ from .classify import (
 )
 from .cone import face_lattice
 from .errors import (
+    INTERNAL,
     NOT_ISOMORPHIC,
     PARSE,
     WITNESS_FAILURE,
@@ -750,10 +751,23 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(_shield_negative_values(list(argv)))
         envelope, code = _HANDLERS[args.command](args)
+        _print_json(envelope)
     except AhgError as err:
         _print_json({"error": err.code, "detail": err.detail})
         return err.exit_code
-    _print_json(envelope)
+    except Exception as err:
+        # The CLI boundary: an untyped fault becomes one JSON error, not a
+        # traceback; the detail names the exception and where it was raised.
+        tb = err.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        where = tb.tb_frame.f_code
+        _print_json({
+            "error": INTERNAL,
+            "detail": f"{type(err).__name__}: {err} (in {where.co_name}, "
+                      f"{os.path.basename(where.co_filename)}:{tb.tb_lineno})",
+        })
+        return 1
     return code
 
 

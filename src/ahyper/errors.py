@@ -47,3 +47,5 @@ RIGHT_FACTOR_MISSING = "RIGHT_FACTOR_MISSING"
 NOT_IN_B_IDEAL = "NOT_IN_B_IDEAL"
 WITNESS_FAILURE = "WITNESS_FAILURE"
 INVARIANT_VIOLATED = "INVARIANT_VIOLATED"
+# any other exception, caught at the CLI boundary
+INTERNAL = "INTERNAL"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     INVARIANT_VIOLATED,
@@ -439,40 +439,48 @@ class LatticeBasis:
         return tuple(res)
 
 
-@lru_cache(maxsize=None)
-def _complement_columns(basis: LatticeBasis):
-    """Standard basis vectors completing span(basis) to the ambient space.
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
+def _residue_rows(basis: LatticeBasis):
+    """Rows reading the basis coordinates of any v in Q^ambient, with their
+    denominators: ((row, den), ...), one pair per basis vector.
 
-    e_i is taken when it is independent of the basis and the e_j taken
-    before it: exactly the pivot columns of [basis | I] past the basis.
+    One elimination of [basis | I] does it all.  Its pivot columns past the
+    basis pick the standard complement (e_i is taken when it is independent
+    of the basis and the e_j taken before it), and the row operations,
+    read off the right block, invert [basis | complement].  The first rank
+    rows of that inverse, scaled to integers, give the basis coordinates.
     """
     k, amb = basis.rank, basis.ambient
     m = [[Fraction(v[i]) for v in basis.vectors] + [Fraction(int(i == j)) for j in range(amb)]
          for i in range(amb)]
-    return tuple(tuple(int(i == col - k) for i in range(amb)) for col in _rref(m)[k:])
+    if _rref(m)[:k] != list(range(k)):
+        raise InternalError(
+            INVARIANT_VIOLATED, f"affine_residue: dependent basis {basis.vectors}")
+    out = []
+    for row in m[:k]:
+        den = lcm(*(x.denominator for x in row[k:]))
+        out.append((tuple(int(x * den) for x in row[k:]), den))
+    return tuple(out)
 
 
 def affine_residue(basis: LatticeBasis, v):
     """Canonical representative of v modulo the lattice, any v in Q^ambient.
 
     Splits v over basis + a fixed standard complement and reduces the basis
-    coordinates into [0, 1).  Two vectors get the same residue iff they
-    differ by a lattice element.
+    coordinates c_i into [0, 1): the answer is v - sum floor(c_i) b_i.  The
+    rows that read off the c_i are cached per basis (`_residue_rows`), and a
+    call works in integers over the common denominator of v, so it does no
+    elimination.  Two vectors get the same residue iff they differ by a
+    lattice element.
     """
-    comp = _complement_columns(basis)
-    cols = list(basis.vectors) + list(comp)
-    if not cols:
-        return tuple(Fraction(x) for x in v)
-    rows = tuple(tuple(c[i] for c in cols) for i in range(basis.ambient))
-    sol = solve_rational(rows, v)
-    res = [Fraction(0)] * basis.ambient
-    k = len(basis.vectors)
-    for idx, coef in enumerate(sol):
-        c = coef - coef.__floor__() if idx < k else coef
-        if c:
-            for i in range(basis.ambient):
-                res[i] += c * cols[idx][i]
-    return tuple(res)
+    v = [Fraction(x) for x in v]
+    q = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (q // x.denominator) for x in v]  # q * v
+    for (row, den), b in zip(_residue_rows(basis), basis.vectors):
+        k = dot(row, w) // (den * q)
+        if k:
+            w = [x - k * q * y for x, y in zip(w, b)]
+    return tuple(Fraction(x, q) for x in w)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,15 @@ decided by complete bounded searches: homogeneity forces the total degree
 of any representation, and the positive functional of a face bounds the
 level set of exponents off the face.  Both searches memoize failures, and
 the public entry points cache whole answers keyed on exact inputs.
+
+Everything that depends only on (A, tau) is computed once, on first use, into
+one cached record per face (`_face_data`): the face sublattice, the span
+equations F and their values FZ on the basis of ZA, the coset
+representatives of the sublattice in its saturation, the positive
+functional and the columns off the face with their weights.  `e_tau` and
+the membership search read it, and residues modulo the sublattice come from
+`affine_residue`, whose coordinate rows are cached per lattice.  Both caches
+hold at most `PARAMETER_CACHE_SIZE` entries.
 """
 
 from __future__ import annotations
@@ -100,7 +109,6 @@ def in_NA(A: IntMatrix, gamma):
     return _in_na_int(A, g)
 
 
-@lru_cache(maxsize=None)
 def _face_sublattice(A: IntMatrix, tau: Face) -> LatticeBasis:
     """Z(A cap tau): the lattice generated by the columns on tau."""
     return LatticeBasis.from_generators(A.d, [A.column(j) for j in tau.columns])
@@ -108,21 +116,19 @@ def _face_sublattice(A: IntMatrix, tau: Face) -> LatticeBasis:
 
 @lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def _in_na_mod_face_int(A: IntMatrix, tau: Face, gamma: tuple[int, ...]) -> bool:
-    sub = _face_sublattice(A, tau)
-    g = positive_functional(A, tau)
+    face = _face_data(A, tau)
+    sub, g = face.sub, face.functional
     target = Fraction(dot(g, gamma))
     if target < 0 or target.denominator != 1:
         return False
-    off = [j for j in range(A.n) if j not in tau.columns]
-    weights = [int(dot(g, A.column(j))) for j in off]
-    cols = [A.column(j) for j in off]
+    weights, cols = face.off_weights, face.off_columns
     failed = set()
 
     def search(idx, rest):
         t = int(dot(g, rest))
         if t == 0:
             return sub.member(rest) is not None
-        if idx == len(off):
+        if idx == len(cols):
             return False
         key = (idx, affine_residue(sub, rest))
         if key in failed:
@@ -154,7 +160,6 @@ class ETauSet:
     residues: tuple[tuple[Fraction, ...], ...]
 
 
-@lru_cache(maxsize=None)
 def _span_equations(A: IntMatrix, tau: Face):
     """Integer rows F with F x = 0 exactly on the span of tau's columns."""
     rows = [A.column(j) for j in tau.columns]
@@ -168,7 +173,6 @@ def _span_equations(A: IntMatrix, tau: Face):
     return tuple(clear_denominators(f) for f in kern)
 
 
-@lru_cache(maxsize=None)
 def _saturated_face_lattice(A: IntMatrix, tau: Face) -> LatticeBasis:
     """ZA intersected with the rational span of tau's columns."""
     F = _span_equations(A, tau)
@@ -187,30 +191,58 @@ def _saturated_face_lattice(A: IntMatrix, tau: Face) -> LatticeBasis:
     return LatticeBasis.from_generators(A.d, gens)
 
 
+@dataclass(frozen=True)
+class _FaceData:
+    """What e_tau and the membership search need of a proper face tau."""
+
+    sub: LatticeBasis  # Z(A cap tau)
+    span_equations: tuple  # F, integer rows vanishing exactly on span(tau)
+    fz: tuple  # F times the Hermite basis of ZA
+    representatives: tuple  # the cosets of Z(A cap tau) in ZA cap span(tau)
+    functional: tuple  # positive_functional(A, tau)
+    off_weights: tuple  # its values on the columns off tau
+    off_columns: tuple  # those columns
+
+
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
+def _face_data(A: IntMatrix, tau: Face) -> _FaceData:
+    """The per-face record, built on first use of (A, tau)."""
+    sub = _face_sublattice(A, tau)
+    F = _span_equations(A, tau)
+    g = positive_functional(A, tau)
+    off = [A.column(j) for j in range(A.n) if j not in tau.columns]
+    return _FaceData(
+        sub=sub,
+        span_equations=F,
+        fz=tuple(tuple(dot(f, z) for z in column_lattice(A).vectors) for f in F),
+        representatives=quotient_representatives(
+            _saturated_face_lattice(A, tau), sub).representatives,
+        functional=g,
+        off_weights=tuple(int(dot(g, c)) for c in off),
+        off_columns=tuple(off),
+    )
+
+
 def e_tau(A: IntMatrix, tau: Face, beta) -> ETauSet:
     """The finite residue set attached to a face and a parameter."""
     beta = _as_fractions(beta)
     ZA = column_lattice(A)
     if tau.is_whole_cone():
         return ETauSet(face=tau, residues=(affine_residue(ZA, beta),))
-    sub = _face_sublattice(A, tau)
-    F = _span_equations(A, tau)
-    Zcols = ZA.vectors
-    FZ = tuple(tuple(dot(f, z) for z in Zcols) for f in F)
-    Fbeta = tuple(dot(f, beta) for f in F)
-    c = integer_solve(FZ, Fbeta)
+    face = _face_data(A, tau)
+    Fbeta = tuple(dot(f, beta) for f in face.span_equations)
+    c = integer_solve(face.fz, Fbeta)
     if c is None:
         return ETauSet(face=tau, residues=())
+    Zcols = ZA.vectors
     lam0 = vec_sub(beta, tuple(
         sum(ci * z[i] for ci, z in zip(c, Zcols)) for i in range(A.d)
     ))
-    big = _saturated_face_lattice(A, tau)
-    quo = quotient_representatives(big, sub)
     kept = []
-    for rep in quo.representatives:
+    for rep in face.representatives:
         lam = tuple(a + b for a, b in zip(lam0, rep))
         if in_NA_mod_face(A, tau, vec_sub(beta, lam)):
-            kept.append(affine_residue(sub, lam))
+            kept.append(affine_residue(face.sub, lam))
     return ETauSet(face=tau, residues=tuple(sorted(set(kept))))
 
 

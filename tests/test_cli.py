@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+from ahyper import cli
 from ahyper.cli import main
 
 DEMO = '{"A": [[1,1,1,1],[0,0,1,2],[0,1,1,0]]}'
@@ -162,6 +163,21 @@ def test_input_error_exit_codes():
         doc = json.loads(text)
         assert doc["error"] == expected, argv
         assert set(doc) == {"error", "detail"}
+
+
+def test_untyped_library_error_is_one_json_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("library fault")
+
+    monkeypatch.setitem(cli._HANDLERS, "volume", broken)
+    code = main(["volume", "-A", DEMO])
+    out, err = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(out)
+    assert set(doc) == {"error", "detail"}
+    assert doc["error"] == "INTERNAL"
+    assert doc["detail"].startswith("ValueError: library fault")
+    assert "Traceback" not in err
 
 
 def test_output_is_byte_identical_across_runs():

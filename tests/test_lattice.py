@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ahyper.errors import InputError
+from ahyper.errors import INVARIANT_VIOLATED, InputError, InternalError
 from ahyper.lattice import (
     IntMatrix,
     LatticeBasis,
@@ -196,6 +196,14 @@ def test_affine_residue_separates_cosets():
         e0 = tuple(Fraction(1, 7) if i == 0 else Fraction(0) for i in range(amb))
         v3 = tuple(a + b for a, b in zip(v, e0))
         assert affine_residue(L, v3) != r
+
+
+def test_affine_residue_rejects_a_dependent_basis():
+    # built without the Hermite form, so its vectors are not independent
+    dependent = LatticeBasis(2, ((1, 0), (2, 0)))
+    with pytest.raises(InternalError) as err:
+        affine_residue(dependent, (Fraction(1, 2), Fraction(0)))
+    assert err.value.code == INVARIANT_VIOLATED
 
 
 def test_quotient_representatives_counts():

@@ -1,12 +1,14 @@
-"""The shared elimination and division routines against the code they replaced.
+"""The shared elimination and division routines, and the cached residue
+data, against the code they replaced.
 
 Each oracle below is the earlier implementation, copied with its
 asserts dropped and its calls pointed at the other oracles: three
 separate Gauss-Jordan loops for rank, solve and kernel, a fourth for the
 determinant, k separate solves for a unimodular inverse, the greedy rank
-test for a complement, a kernel ball scanned off an invertible minor, and
-two copies of the polynomial division loop.  The new code must return
-exactly what they return.
+test for a complement, one solve over [basis | complement] per residue,
+E_tau rebuilt from its face data on every call, a kernel ball scanned off
+an invertible minor, and two copies of the polynomial division loop.  The
+new code must return exactly what they return.
 """
 
 import random
@@ -15,16 +17,27 @@ from itertools import combinations
 from math import lcm, prod
 
 from ahyper.classify import _hyperplane_coordinates, _triangulate, normalized_volume
+from ahyper.cone import face_lattice, positive_functional
 from ahyper.lattice import (
     IntMatrix,
     LatticeBasis,
-    _complement_columns,
+    affine_residue,
+    column_lattice,
+    dot,
+    integer_solve,
     invert_unimodular,
     nullspace_rational,
+    quotient_representatives,
     rational_rank,
     smith_normal_form,
     solve_rational,
     vec_sub,
+)
+from ahyper.semigroup import (
+    _face_sublattice,
+    _saturated_face_lattice,
+    _span_equations,
+    e_tau,
 )
 from ahyper.series import kernel_ball
 from ahyper.toric import (
@@ -173,6 +186,86 @@ def old_complement_columns(basis):
             rows.append(e)
             chosen.append(tuple(e))
     return tuple(chosen)
+
+
+def old_affine_residue(basis, v):
+    comp = old_complement_columns(basis)
+    cols = list(basis.vectors) + list(comp)
+    if not cols:
+        return tuple(Fraction(x) for x in v)
+    rows = tuple(tuple(c[i] for c in cols) for i in range(basis.ambient))
+    sol = old_solve_rational(rows, v)
+    res = [Fraction(0)] * basis.ambient
+    k = len(basis.vectors)
+    for idx, coef in enumerate(sol):
+        c = coef - coef.__floor__() if idx < k else coef
+        if c:
+            for i in range(basis.ambient):
+                res[i] += c * cols[idx][i]
+    return tuple(res)
+
+
+def old_in_na_mod_face(A, tau, gamma):
+    gamma = tuple(Fraction(x) for x in gamma)
+    if any(x.denominator != 1 for x in gamma):
+        return False
+    gamma = tuple(int(x) for x in gamma)
+    if tau.is_whole_cone():
+        return column_lattice(A).member(gamma) is not None
+    sub = _face_sublattice(A, tau)
+    g = positive_functional(A, tau)
+    target = Fraction(dot(g, gamma))
+    if target < 0 or target.denominator != 1:
+        return False
+    off = [j for j in range(A.n) if j not in tau.columns]
+    weights = [int(dot(g, A.column(j))) for j in off]
+    cols = [A.column(j) for j in off]
+    failed = set()
+
+    def search(idx, rest):
+        t = int(dot(g, rest))
+        if t == 0:
+            return sub.member(rest) is not None
+        if idx == len(off):
+            return False
+        key = (idx, old_affine_residue(sub, rest))
+        if key in failed:
+            return False
+        for u in range(t // weights[idx], -1, -1):
+            nxt = vec_sub(rest, tuple(u * c for c in cols[idx]))
+            if search(idx + 1, nxt):
+                return True
+        failed.add(key)
+        return False
+
+    return search(0, gamma)
+
+
+def old_e_tau(A, tau, beta):
+    """The residues of E_tau(beta), every piece of face data rebuilt."""
+    beta = tuple(Fraction(x) for x in beta)
+    ZA = column_lattice(A)
+    if tau.is_whole_cone():
+        return (old_affine_residue(ZA, beta),)
+    sub = _face_sublattice(A, tau)
+    F = _span_equations(A, tau)
+    Zcols = ZA.vectors
+    FZ = tuple(tuple(dot(f, z) for z in Zcols) for f in F)
+    Fbeta = tuple(dot(f, beta) for f in F)
+    c = integer_solve(FZ, Fbeta)
+    if c is None:
+        return ()
+    lam0 = vec_sub(beta, tuple(
+        sum(ci * z[i] for ci, z in zip(c, Zcols)) for i in range(A.d)
+    ))
+    big = _saturated_face_lattice(A, tau)
+    quo = quotient_representatives(big, sub)
+    kept = []
+    for rep in quo.representatives:
+        lam = tuple(a + b for a, b in zip(lam0, rep))
+        if old_in_na_mod_face(A, tau, vec_sub(beta, lam)):
+            kept.append(old_affine_residue(sub, lam))
+    return tuple(sorted(set(kept)))
 
 
 def old_kernel_ball(A, order):
@@ -374,13 +467,55 @@ def test_normalized_volume_matches_the_determinant_version():
         assert normalized_volume(A) == old_normalized_volume(A)
 
 
-def test_complement_matches_the_greedy_rank_test():
+def test_affine_residue_matches_the_solve_per_call():
+    """Residues read off the cached rows equal one solve over the basis and
+    the greedy complement, so the complement choice is unchanged too."""
     rng = random.Random(8104)
     for _ in range(400):
         amb = rng.randint(0, 5)
-        gens = random_rows(rng, rng.randint(0, 4), amb) if amb else []
+        gens = random_rows(rng, rng.randint(0, amb + 1), amb) if amb else []
         basis = LatticeBasis.from_generators(amb, gens)
-        assert _complement_columns(basis) == old_complement_columns(basis)
+        for _ in range(4):
+            den = rng.choice((1, 1, 2, 3, 6))
+            v = tuple(Fraction(rng.randint(-9, 9), den) for _ in range(amb))
+            got = affine_residue(basis, v)
+            assert got == old_affine_residue(basis, v), (basis, v)
+            assert all(type(x) is Fraction for x in got)
+        ints = tuple(rng.randint(-9, 9) for _ in range(amb))
+        assert affine_residue(basis, ints) == old_affine_residue(basis, ints)
+
+
+# the census workload's matrices: the paper's three, one cone over a
+# lattice polygon and one four-column curve
+CENSUS_MATRICES = (
+    ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, -1)),
+    ((1, 1, 1, 1, 1), (0, 2, 4, 7, 9)),
+    ((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0)),
+    ((1, 1, 1, 1, 1), (0, 1, 0, 1, 2), (0, 0, 1, 1, 1)),
+    ((1, 1, 1, 1), (0, 1, 3, 7)),
+)
+
+
+def random_matrices(rng, count):
+    """Homogeneous 3x4 and 3x5 matrices of full rank, entries 0..3."""
+    out = []
+    while len(out) < count:
+        n = rng.choice((4, 5))
+        rows = ((1,) * n,) + tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(2))
+        if rational_rank(rows) == 3:
+            out.append(IntMatrix(rows))
+    return out
+
+
+def test_e_tau_matches_the_per_call_rebuild():
+    rng = random.Random(8111)
+    matrices = [IntMatrix(rows) for rows in CENSUS_MATRICES] + random_matrices(rng, 20)
+    for A in matrices:
+        for tau in face_lattice(A).faces:
+            for den in (1, 1, 2, 3):
+                beta = tuple(Fraction(rng.randint(-3, 3), den) for _ in range(A.d))
+                assert e_tau(A, tau, beta).residues == old_e_tau(A, tau, beta), (
+                    A.entries, tau.columns, beta)
 
 
 def test_kernel_ball_matches_the_minor_scan():

@@ -8,13 +8,16 @@ exhaustive enumeration for membership relative to a face.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
 from helpers import resonance
 
+from ahyper import lattice, semigroup
 from ahyper.cone import face_lattice, facets
 from ahyper.lattice import (
+    PARAMETER_CACHE_SIZE,
     IntMatrix,
     LatticeBasis,
     affine_residue,
@@ -336,3 +339,59 @@ def test_resonance_flags_and_semi_nonresonant_emptiness():
             for tau in fl.proper_faces():
                 assert e_tau(A, tau, beta).residues == ()
     assert checked > 0
+
+
+def test_face_data_is_built_once_per_face(monkeypatch):
+    built = []
+    real = semigroup.quotient_representatives
+    monkeypatch.setattr(
+        semigroup, "quotient_representatives",
+        lambda big, small: built.append(small) or real(big, small))
+    semigroup._face_data.cache_clear()
+    rng = random.Random(257)
+    faces = 0
+    for rows in (A_DEMO, A_CURVE, A_NORMAL3):
+        A = IntMatrix(rows)
+        proper = face_lattice(A).proper_faces()
+        faces += len(proper)
+        for _ in range(8):
+            den = rng.choice((1, 2, 3))
+            beta = tuple(Fraction(rng.randint(-5, 5), den) for _ in range(A.d))
+            for tau in proper:
+                e_tau(A, tau, beta)
+                in_NA_mod_face(A, tau, tuple(rng.randint(-3, 3) for _ in range(A.d)))
+    assert len(built) == faces
+
+
+def test_affine_residue_eliminates_once_per_basis(monkeypatch):
+    bases = [
+        LatticeBasis.from_generators(3, [(2, 1, 0), (0, 3, 1)]),
+        LatticeBasis.from_generators(3, [(1, 2, 3), (4, 5, 6), (7, 8, 10)]),
+    ]
+    eliminations = []
+    real = lattice._rref
+    monkeypatch.setattr(lattice, "_rref", lambda m: eliminations.append(1) or real(m))
+    lattice._residue_rows.cache_clear()
+    rng = random.Random(263)
+    for _ in range(50):
+        for basis in bases:
+            affine_residue(basis, tuple(Fraction(rng.randint(-9, 9), 2) for _ in range(3)))
+    assert len(eliminations) == len(bases)
+
+
+def test_face_and_residue_caches_are_bounded(monkeypatch):
+    for cached in (semigroup._face_data, lattice._residue_rows):
+        assert cached.cache_info().maxsize == PARAMETER_CACHE_SIZE
+    # with a small bound, evicted rows are rebuilt and give the same residues
+    small = lru_cache(maxsize=3)(lattice._residue_rows.__wrapped__)
+    rng = random.Random(269)
+    bases = [
+        LatticeBasis.from_generators(2, [(rng.randint(1, 5), rng.randint(-5, 5)), (0, k)])
+        for k in range(1, 9)
+    ]
+    vectors = [tuple(Fraction(rng.randint(-9, 9), 3) for _ in range(2)) for _ in range(3)]
+    want = [[affine_residue(b, v) for v in vectors] for b in bases]
+    monkeypatch.setattr(lattice, "_residue_rows", small)
+    for _ in range(2):
+        assert [[affine_residue(b, v) for v in vectors] for b in bases] == want
+    assert small.cache_info().currsize == 3
