@@ -746,18 +746,20 @@ def _shield_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = None
     try:
-        args = _build_parser().parse_args(_shield_negative_values(list(argv)))
-        envelope, code = _HANDLERS[args.command](args)
+        args = _build_parser().parse_args(_shield_negative_values(argv))
+        command = args.command
+        envelope, code = _HANDLERS[command](args)
         _print_json(envelope)
     except AhgError as err:
         _print_json({"error": err.code, "detail": err.detail})
         return err.exit_code
     except Exception as err:
         # The CLI boundary: an untyped fault becomes one JSON error, not a
-        # traceback; the detail names the exception and where it was raised.
+        # traceback; the detail names the exception, where it was raised,
+        # and the subcommand and arguments that reproduce it.
         tb = err.__traceback__
         while tb.tb_next:
             tb = tb.tb_next
@@ -765,7 +767,8 @@ def main(argv=None) -> int:
         _print_json({
             "error": INTERNAL,
             "detail": f"{type(err).__name__}: {err} (in {where.co_name}, "
-                      f"{os.path.basename(where.co_filename)}:{tb.tb_lineno})",
+                      f"{os.path.basename(where.co_filename)}:{tb.tb_lineno}); "
+                      f"command: {command}; argv: {json.dumps(argv)}",
         })
         return 1
     return code

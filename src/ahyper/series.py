@@ -35,7 +35,14 @@ from itertools import product
 from math import lcm
 
 from .errors import INVARIANT_VIOLATED, NOT_MINIMAL, InputError, InternalError
-from .lattice import IntMatrix, kernel_lattice, nullspace_rational, vec_add, vec_sub
+from .lattice import (
+    PARAMETER_CACHE_SIZE,
+    IntMatrix,
+    kernel_lattice,
+    nullspace_rational,
+    vec_add,
+    vec_sub,
+)
 from .toric import toric_ideal
 from .weyl import WeylElement
 
@@ -105,7 +112,7 @@ class NegSupportReport:
     bound: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def minimal_negative_support(A: IntMatrix, v, order: int = DEFAULT_ORDER) -> NegSupportReport:
     """Whether no kernel shift strictly shrinks the negative support of v.
 

@@ -1,9 +1,10 @@
 """Toric ideal, the shifted monomial ideals, standard pairs, and b-ideals.
 
 Polynomials live in a commutative ring k[x_1..x_n] encoded as dicts from
-exponent tuples to Fractions.  The Groebner engine is a plain Buchberger
-loop with the coprime-pair criterion; inputs here are homogeneous binomial
-ideals at desk scale, so nothing fancier is needed.
+exponent tuples to Fractions.  There is one completion procedure, the
+Graver basis of the kernel lattice; the reduced Groebner bases of I_A are
+read off it, since it contains every one of them (Sturmfels, Groebner
+Bases and Convex Polytopes, ch. 4).
 """
 
 from __future__ import annotations
@@ -98,75 +99,6 @@ def divide(p, basis, key):
     return rem, quots
 
 
-def buchberger(gens, key):
-    """Reduced Groebner basis, monic, sorted by leading term.
-
-    Pairs are treated in increasing lcm order; the coprime and chain
-    criteria discard most of them, which keeps the saturation loops over
-    lattice ideals from drowning in redundant S-polynomials.
-    """
-    import heapq
-
-    basis = []
-    for g in gens:
-        if g:
-            lt, lc = leading_term(g, key)
-            basis.append((dict(g), lt, lc))
-    heap = []
-    done = set()
-
-    def push_pairs(t):
-        ltt = basis[t][1]
-        for s in range(t):
-            lcm = tuple(max(a, b) for a, b in zip(basis[s][1], ltt))
-            heapq.heappush(heap, (key(lcm), s, t, lcm))
-
-    for t in range(len(basis)):
-        push_pairs(t)
-    while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
-        gi, lti, lci = basis[i]
-        gj, ltj, lcj = basis[j]
-        if all(a + b == m for a, b, m in zip(lti, ltj, lcm)):
-            continue  # coprime leading terms reduce to zero
-        if any(
-            k != i
-            and k != j
-            and mono_divides(basis[k][1], lcm)
-            and (min(i, k), max(i, k)) in done
-            and (min(j, k), max(j, k)) in done
-            for k in range(len(basis))
-        ):
-            continue  # chain criterion
-        s = poly_add(
-            poly_mul_mono(gi, vec_sub(lcm, lti), Fraction(1) / lci),
-            poly_mul_mono(gj, vec_sub(lcm, ltj), Fraction(-1) / lcj),
-        )
-        r, _ = divide(s, basis, key)
-        if r:
-            lt, lc = leading_term(r, key)
-            basis.append((r, lt, lc))
-            push_pairs(len(basis) - 1)
-    # minimalize, then inter-reduce
-    basis.sort(key=lambda t: key(t[1]))
-    kept = []
-    for idx, (g, lt, lc) in enumerate(basis):
-        if any(mono_divides(lt2, lt) for _, lt2, _ in kept):
-            continue
-        kept.append((g, lt, lc))
-    reduced = []
-    for i, (g, lt, lc) in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        r, _ = divide(g, others, key)
-        lt2, lc2 = leading_term(r, key)
-        reduced.append({m: c / lc2 for m, c in r.items()})
-    reduced.sort(key=lambda p: key(leading_term(p, key)[0]))
-    return reduced
-
-
 # ---------------------------------------------------------------------------
 # the toric ideal
 
@@ -183,76 +115,72 @@ class Binomial:
 
 
 class ToricIdeal:
-    """I_A with a cache of reduced Groebner bases per lowest variable."""
+    """I_A with a cache of reduced Groebner bases per lowest variable.
 
-    def __init__(self, matrix: IntMatrix, generators):
+    generators is the reduced basis with the last variable lowest, read as
+    binomials plus - minus and checked to be pure differences of two
+    monomials of equal A-degree.
+    """
+
+    def __init__(self, matrix: IntMatrix):
         self.matrix = matrix
-        self.generators = tuple(generators)
         self._cache = {}
+        self.generators = tuple(
+            _checked_binomial(matrix, p) for p in self.groebner(matrix.n - 1)
+        )
 
     def groebner(self, lowest: int):
-        """Reduced basis for grevlex with the given variable lowest."""
+        """Reduced basis for grevlex with the given variable lowest.
+
+        The Graver basis contains every reduced Groebner basis of I_A, so
+        its binomials, each oriented by the order, are a Groebner basis.
+        The reduced basis has one element lt - NF(lt) per minimal leading
+        term lt; NF(lt) is a single monomial.
+        """
         if lowest not in self._cache:
             n = self.matrix.n
-            seq = tuple(j for j in range(n) if j != lowest) + (lowest,)
-            key = grevlex_key(seq)
-            polys = [g.as_poly() for g in self.generators]
-            self._cache[lowest] = tuple(
-                tuple(sorted(p.items())) for p in buchberger(polys, key)
-            )
+            key = grevlex_key(tuple(j for j in range(n) if j != lowest) + (lowest,))
+            triples = []
+            for g in graver_basis(self.matrix):
+                lt, tail = _sign_split(g)
+                # g and -g are both Graver elements: keep each binomial once
+                if key(lt) > key(tail):
+                    triples.append(({lt: Fraction(1), tail: Fraction(-1)}, lt, Fraction(1)))
+            reduced = []
+            for lt in sorted(_antichain(lt for _, lt, _ in triples), key=key):
+                (tail,) = divide({lt: Fraction(1)}, triples, key)[0]
+                reduced.append(tuple(sorted(((lt, Fraction(1)), (tail, Fraction(-1))))))
+            self._cache[lowest] = tuple(reduced)
         return [dict(p) for p in self._cache[lowest]]
 
 
-def _binomial_from_vector(v):
-    plus = tuple(x if x > 0 else 0 for x in v)
-    minus = tuple(-x if x < 0 else 0 for x in v)
-    return Binomial(plus=plus, minus=minus)
+def _sign_split(v):
+    """The positive and negative parts (v+, v-) of an integer vector."""
+    return tuple(x if x > 0 else 0 for x in v), tuple(-x if x < 0 else 0 for x in v)
 
 
-def _divide_variable_content(p, i):
-    low = min(m[i] for m in p)
-    if low == 0:
-        return dict(p)
-    return {tuple(x - low if k == i else x for k, x in enumerate(m)): c for m, c in p.items()}
+def _conformal_leq(s, f):
+    """Whether s lies in f's orthant and below f in every coordinate."""
+    return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(s, f))
+
+
+def _checked_binomial(A: IntMatrix, p) -> Binomial:
+    if len(p) != 2:
+        raise InternalError(NOT_MINIMAL, "toric basis element is not binomial")
+    (m1, c1), (m2, c2) = sorted(p.items(), key=lambda t: -t[1])
+    if c1 != 1 or c2 != -1:
+        raise InternalError(NOT_MINIMAL, "toric binomial is not unit-monic")
+    if A.apply(m1) != A.apply(m2):
+        raise InternalError(NOT_MINIMAL, "binomial degrees disagree")
+    if any(a and b for a, b in zip(m1, m2)):
+        raise InternalError(NOT_MINIMAL, "binomial supports overlap")
+    return Binomial(plus=m1, minus=m2)
 
 
 @lru_cache(maxsize=None)
 def toric_ideal(A: IntMatrix) -> ToricIdeal:
-    """The saturated lattice ideal of the kernel of A.
-
-    Start from a kernel basis and saturate one variable at a time; with a
-    homogeneous ideal and grevlex ordered to put the chosen variable lowest,
-    the saturation is read off the reduced basis by dividing out that
-    variable's content.
-    """
-    n = A.n
-    ker = kernel_lattice(A)
-    polys = [
-        _binomial_from_vector(v).as_poly() for v in ker.vectors
-    ]
-    polys = [p for p in polys if p]
-    for i in range(n):
-        if not polys:
-            break
-        seq = tuple(j for j in range(n) if j != i) + (i,)
-        G = buchberger(polys, grevlex_key(seq))
-        polys = [_divide_variable_content(g, i) for g in G]
-    # canonical final presentation
-    if polys:
-        polys = buchberger(polys, grevlex_key(tuple(range(n))))
-    gens = []
-    for p in polys:
-        if len(p) != 2:
-            raise InternalError(NOT_MINIMAL, "toric basis element is not binomial")
-        (m1, c1), (m2, c2) = sorted(p.items(), key=lambda t: -t[1])
-        if c1 != 1 or c2 != -1:
-            raise InternalError(NOT_MINIMAL, "toric binomial is not unit-monic")
-        if A.apply(m1) != A.apply(m2):
-            raise InternalError(NOT_MINIMAL, "binomial degrees disagree")
-        if any(a and b for a, b in zip(m1, m2)):
-            raise InternalError(NOT_MINIMAL, "binomial supports overlap")
-        gens.append(Binomial(plus=m1, minus=m2))
-    return ToricIdeal(A, gens)
+    """I_A, built once per matrix."""
+    return ToricIdeal(A)
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +222,12 @@ def graver_basis(A: IntMatrix) -> tuple[tuple[int, ...], ...]:
         gens.append(b)
         gens.append(tuple(-x for x in b))
 
-    def conformal_leq(s, f):
-        return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(s, f))
-
     def normal_form(f, pool):
         changed = True
         while changed and any(f):
             changed = False
             for s in pool:
-                if conformal_leq(s, f):
+                if _conformal_leq(s, f):
                     f = vec_sub(f, s)
                     changed = True
                     break
@@ -321,7 +246,7 @@ def graver_basis(A: IntMatrix) -> tuple[tuple[int, ...], ...]:
             queue.extend((h, p) for p in pool)
             queue.append((h, h))
             pool.append(h)
-    out = [g for g in pool if not any(p is not g and conformal_leq(p, g) for p in pool)]
+    out = [g for g in pool if not any(p is not g and _conformal_leq(p, g) for p in pool)]
     out.sort()
     return tuple(out)
 
@@ -353,9 +278,6 @@ def _minimal_inhomogeneous_solutions(A: IntMatrix, chi):
     neg_cols = [tuple(-x for x in c) for c in cols]
     prunes = sorted(graver_basis(A), key=lambda g: sum(abs(x) for x in g))
 
-    def dominates(w, s):
-        return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(s, w))
-
     zero = tuple(0 for _ in range(d))
     minimals: list[tuple[int, ...]] = []
     seed = tuple(0 for _ in range(n))
@@ -378,21 +300,15 @@ def _minimal_inhomogeneous_solutions(A: IntMatrix, chi):
                 w2 = tuple(x + step if k == j else x for k, x in enumerate(w))
                 if w2 in seen:
                     continue
-                if any(dominates(w2, g) for g in prunes):
+                if any(_conformal_leq(g, w2) for g in prunes):
                     continue
-                if any(dominates(w2, m) for m in minimals):
+                if any(_conformal_leq(m, w2) for m in minimals):
                     continue
                 seen.add(w2)
                 nxt[w2] = tuple(v + c for v, c in zip(val, col))
         frontier = nxt
 
-    def pos(w):
-        return tuple(x if x > 0 else 0 for x in w)
-
-    def neg(w):
-        return tuple(-x if x < 0 else 0 for x in w)
-
-    return [(pos(w), neg(w)) for w in minimals]
+    return [_sign_split(w) for w in minimals]
 
 
 @lru_cache(maxsize=PARAMETER_CACHE_SIZE)
@@ -408,7 +324,7 @@ def shift_pair(A: IntMatrix, chi: tuple[int, ...]):
     return min(minimal_solutions(A, chi), key=lambda p: (sum(p[0]) + sum(p[1]), p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def m_chi(A: IntMatrix, chi: tuple[int, ...]) -> MonomialIdeal:
     """The monomial ideal of exponents u with Au in chi + NA."""
     if column_lattice(A).member(chi) is None:
@@ -486,7 +402,7 @@ class BIdeal:
     components: tuple[tuple[tuple[int, ...], Face], ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def b_ideal(A: IntMatrix, chi: tuple[int, ...]) -> BIdeal:
     M = m_chi(A, chi)
     fl = face_lattice(A)

@@ -31,10 +31,6 @@ UNBOUNDED = {
     # integer_solve)
     "lattice._snf_cached",
     "series.kernel_ball",
-    # keyed by a parameter: still unbounded, to be bounded
-    "series.minimal_negative_support",
-    "toric.b_ideal",
-    "toric.m_chi",
 }
 
 

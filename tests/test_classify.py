@@ -50,7 +50,7 @@ from ahyper.semigroup import (
     e_tau,
     in_NA,
 )
-from ahyper.series import apply_operator, check_solution, phi_v
+from ahyper.series import apply_operator, check_solution, minimal_negative_support, phi_v
 from ahyper.weyl import verify_certificate, verify_weight, weyl_one
 
 A_DEMO = IntMatrix(((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0)))
@@ -393,7 +393,8 @@ def test_iso_witness_takes_the_lowest_degree_shift_pair():
 
 def test_parameter_caches_stay_bounded():
     caches = (_residue_table, _in_na_int, _in_na_mod_face_int)
-    for cached in caches + (toric.minimal_solutions,):
+    bounded_only = (toric.minimal_solutions, toric.m_chi, toric.b_ideal, minimal_negative_support)
+    for cached in caches + bounded_only:
         assert cached.cache_parameters()["maxsize"] == PARAMETER_CACHE_SIZE
     extra = PARAMETER_CACHE_SIZE + 10
     ray_pair = IntMatrix(((1, 1), (0, 1)))

@@ -177,6 +177,8 @@ def test_untyped_library_error_is_one_json_internal_error(monkeypatch, capsys):
     assert set(doc) == {"error", "detail"}
     assert doc["error"] == "INTERNAL"
     assert doc["detail"].startswith("ValueError: library fault")
+    assert "command: volume;" in doc["detail"]
+    assert doc["detail"].endswith("argv: " + json.dumps(["volume", "-A", DEMO]))
     assert "Traceback" not in err
 
 

@@ -7,8 +7,10 @@ separate Gauss-Jordan loops for rank, solve and kernel, a fourth for the
 determinant, k separate solves for a unimodular inverse, the greedy rank
 test for a complement, one solve over [basis | complement] per residue,
 E_tau rebuilt from its face data on every call, a kernel ball scanned off
-an invertible minor, and two copies of the polynomial division loop.  The
-new code must return exactly what they return.
+an invertible minor, two copies of the polynomial division loop, and a
+Buchberger loop that saturated a kernel basis one variable at a time for
+the toric ideal and its Groebner bases.  The new code must return exactly
+what they return.
 """
 
 import random
@@ -21,6 +23,7 @@ from ahyper.cone import face_lattice, positive_functional
 from ahyper.lattice import (
     IntMatrix,
     LatticeBasis,
+    kernel_lattice,
     affine_residue,
     column_lattice,
     dot,
@@ -348,6 +351,108 @@ def old_reduce_slice(p, triples, key):
     return rem, quots
 
 
+def old_buchberger(gens, key):
+    import heapq
+
+    basis = []
+    for g in gens:
+        if g:
+            lt, lc = leading_term(g, key)
+            basis.append((dict(g), lt, lc))
+    heap = []
+    done = set()
+
+    def push_pairs(t):
+        ltt = basis[t][1]
+        for s in range(t):
+            lcm = tuple(max(a, b) for a, b in zip(basis[s][1], ltt))
+            heapq.heappush(heap, (key(lcm), s, t, lcm))
+
+    for t in range(len(basis)):
+        push_pairs(t)
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        if (i, j) in done:
+            continue
+        done.add((i, j))
+        gi, lti, lci = basis[i]
+        gj, ltj, lcj = basis[j]
+        if all(a + b == m for a, b, m in zip(lti, ltj, lcm)):
+            continue
+        if any(
+            k != i
+            and k != j
+            and mono_divides(basis[k][1], lcm)
+            and (min(i, k), max(i, k)) in done
+            and (min(j, k), max(j, k)) in done
+            for k in range(len(basis))
+        ):
+            continue
+        s = poly_add(
+            poly_mul_mono(gi, vec_sub(lcm, lti), Fraction(1) / lci),
+            poly_mul_mono(gj, vec_sub(lcm, ltj), Fraction(-1) / lcj),
+        )
+        r, _ = divide(s, basis, key)
+        if r:
+            lt, lc = leading_term(r, key)
+            basis.append((r, lt, lc))
+            push_pairs(len(basis) - 1)
+    basis.sort(key=lambda t: key(t[1]))
+    kept = []
+    for g, lt, lc in basis:
+        if any(mono_divides(lt2, lt) for _, lt2, _ in kept):
+            continue
+        kept.append((g, lt, lc))
+    reduced = []
+    for i, (g, lt, lc) in enumerate(kept):
+        others = kept[:i] + kept[i + 1 :]
+        r, _ = divide(g, others, key)
+        lt2, lc2 = leading_term(r, key)
+        reduced.append({m: c / lc2 for m, c in r.items()})
+    reduced.sort(key=lambda p: key(leading_term(p, key)[0]))
+    return reduced
+
+
+def old_divide_variable_content(p, i):
+    low = min(m[i] for m in p)
+    if low == 0:
+        return dict(p)
+    return {tuple(x - low if k == i else x for k, x in enumerate(m)): c for m, c in p.items()}
+
+
+def old_lowest_key(n, lowest):
+    return grevlex_key(tuple(j for j in range(n) if j != lowest) + (lowest,))
+
+
+def old_toric_generators(A):
+    """The saturating toric_ideal's generators, as (plus, minus) pairs."""
+    n = A.n
+    polys = []
+    for v in kernel_lattice(A).vectors:
+        plus = tuple(x if x > 0 else 0 for x in v)
+        minus = tuple(-x if x < 0 else 0 for x in v)
+        if plus != minus:
+            polys.append({plus: Fraction(1), minus: Fraction(-1)})
+    for i in range(n):
+        if not polys:
+            break
+        G = old_buchberger(polys, old_lowest_key(n, i))
+        polys = [old_divide_variable_content(g, i) for g in G]
+    if polys:
+        polys = old_buchberger(polys, grevlex_key(tuple(range(n))))
+    gens = []
+    for p in polys:
+        (m1, _c1), (m2, _c2) = sorted(p.items(), key=lambda t: -t[1])
+        gens.append((m1, m2))
+    return gens
+
+
+def old_groebner(generators, n, lowest):
+    """ToricIdeal.groebner as it was: Buchberger on the generators."""
+    polys = [{plus: Fraction(1), minus: Fraction(-1)} for plus, minus in generators]
+    return [dict(sorted(p.items())) for p in old_buchberger(polys, old_lowest_key(n, lowest))]
+
+
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -570,3 +675,43 @@ def test_divide_matches_both_old_division_loops():
         cases += 1
         nonzero += bool(rem)
     assert cases > 300 and nonzero > 100
+
+
+# ---------------------------------------------------------------------------
+# toric Groebner bases
+
+
+def random_toric_matrices(rng, count):
+    """Homogeneous matrices of shape 2x3 up to 3x5 and full rank, entries
+    0..3; repeated columns are allowed."""
+    out = []
+    while len(out) < count:
+        d, n = rng.choice(((2, 3), (2, 4), (2, 5), (3, 4), (3, 5)))
+        rows = ((1,) * n,) + tuple(
+            tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(d - 1)
+        )
+        if rational_rank(rows) == d:
+            out.append(IntMatrix(rows))
+    return out
+
+
+def test_groebner_bases_match_the_saturating_buchberger():
+    fixed = WITNESS_MATRICES + (
+        ((1, 1, 1, 1, 1), (0, 2, 4, 7, 9)),
+        ((1, 1, 1, 1, 1), (0, 2, 3, 3, 2), (3, 2, 1, 1, 2)),
+        ((1, 1), (0, 1)),
+    )
+    matrices = [IntMatrix(rows) for rows in fixed]
+    matrices += random_toric_matrices(random.Random(8123), 100)
+    empty = 0
+    for A in matrices:
+        ideal = toric_ideal(A)
+        old_gens = old_toric_generators(A)
+        assert [(g.plus, g.minus) for g in ideal.generators] == old_gens
+        for lowest in range(A.n):
+            G = ideal.groebner(lowest)
+            old = old_groebner(old_gens, A.n, lowest)
+            assert G == old
+            assert [list(p) for p in G] == [list(p) for p in old]
+        empty += not old_gens
+    assert empty >= 1
