@@ -7,14 +7,15 @@ the full profile, decides isomorphism, constructs explicit two-sided
 contiguity witnesses for isomorphic pairs, and provides the closed-form
 criteria available for normal semigroups and for monomial curves, along
 with class enumeration over boxes, Laurent solution face counting, and
-the normalized volume of the column polytope.
+the normalized volume of the column polytope, read off a pulling
+triangulation over the same face lattice.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations, product
+from itertools import product
 from math import gcd, prod
 
 from .cone import Face, face_lattice, facets
@@ -31,12 +32,7 @@ from .errors import (
 from .lattice import (
     PARAMETER_CACHE_SIZE,
     IntMatrix,
-    LatticeBasis,
     column_lattice,
-    dot,
-    homogeneity_witness,
-    nullspace_rational,
-    clear_denominators,
     smith_normal_form,
     vec_add,
     vec_sub,
@@ -431,91 +427,49 @@ def laurent_solution_faces(A: IntMatrix, beta) -> LaurentFaces:
 # normalized volume
 
 
-def _supporting_hyperplanes(pts, dim):
-    """Supporting hyperplanes of the hull spanned by point subsets.
+def _pulling_cells(fl, face: Face, pick) -> list[tuple[int, ...]]:
+    """Cells of a pulling triangulation of a face, as tuples of columns.
 
-    Yields (normal, offset, members) with normal primitive, oriented so
-    that every point satisfies normal . p <= offset.
+    The apex pick(face.columns) is coned over the cells of every facet of
+    the face that misses it; a ray is the one cell (apex,).  The facets of
+    a face are the faces of fl one dimension lower inside it.
     """
-    seen = {}
-    for sub in combinations(pts, dim):
-        diffs = [vec_sub(p, sub[0]) for p in sub[1:]]
-        if diffs:
-            kern = nullspace_rational(diffs)
-        else:
-            kern = [(Fraction(1),)]
-        if len(kern) != 1:
-            continue
-        normal = clear_denominators(kern[0])
-        offset = dot(normal, sub[0])
-        values = [dot(normal, p) for p in pts]
-        if any(v > offset for v in values):
-            if any(v < offset for v in values):
-                continue
-            normal = tuple(-x for x in normal)
-            offset = -offset
-            values = [-v for v in values]
-        key = (normal, offset)
-        if key not in seen:
-            seen[key] = tuple(p for p, v in zip(pts, values) if v == offset)
-    return [(n, c, members) for (n, c), members in seen.items()]
-
-
-def _triangulate(pts, dim, from_last=False):
-    """Simplices covering the hull of an affinely spanning point set,
-    starred from the lexicographically extreme vertex."""
-    pts = sorted(set(pts))
-    if dim == 0:
-        return [(pts[0],)]
-    apex = pts[-1] if from_last else pts[0]
-    cells = []
-    for normal, offset, members in _supporting_hyperplanes(pts, dim):
-        if dot(normal, apex) == offset:
-            continue
-        drop = max(range(dim), key=lambda i: abs(normal[i]))
-        flat = {tuple(p[:drop] + p[drop + 1 :]): p for p in members}
-        for cell in _triangulate(sorted(flat), dim - 1):
-            cells.append((apex,) + tuple(flat[q] for q in cell))
-    return cells
-
-
-def _hyperplane_coordinates(A: IntMatrix):
-    """Columns of A in integer coordinates on their affine hyperplane."""
-    homogeneity_witness(A)
-    base = A.column(0)
-    gens = [vec_sub(A.column(j), base) for j in range(1, A.n)]
-    basis = LatticeBasis.from_generators(A.d, gens)
-    pts = []
-    for j in range(A.n):
-        c = basis.member(vec_sub(A.column(j), base))
-        if c is None:
-            raise InternalError(
-                INVARIANT_VIOLATED,
-                f"_hyperplane_coordinates: column {j} of A={A.entries} is off its lattice",
-            )
-        pts.append(c)
-    return pts, basis.rank
+    apex = pick(face.columns)
+    if face.dim == 1:
+        return [(apex,)]
+    return [
+        (apex,) + cell
+        for g in fl.faces
+        if g.dim == face.dim - 1 and apex not in g.columns and fl.contains(g, face)
+        for cell in _pulling_cells(fl, g, pick)
+    ]
 
 
 def normalized_volume(A: IntMatrix) -> int:
-    """Volume of the column polytope, normalized so that a simplex spanning
-    the hyperplane lattice has volume one; the two opposite star
-    triangulations must agree.  A cell's volume |det| of its integer edge
-    vectors is the product of their Smith diagonal."""
-    pts, dim = _hyperplane_coordinates(A)
-    if dim == 0:
-        return 1
+    """Volume of the column polytope, normalized so that a unimodular
+    simplex of the lattice ZA cap {h = 1} has volume one.
+
+    The cone over the polytope is triangulated by pulling over its face
+    lattice.  A cell's volume is |det| of its columns' coordinates in ZA,
+    the product of their Smith diagonal: ZA cap {h = 0} is the lattice of
+    differences a_j - a_0, so this is the normalization above.  Pulling
+    from each face's first and from its last column must give one total.
+    """
+    fl = face_lattice(A)
+    ZA = column_lattice(A)
+    coords = [ZA.member(a) for a in A.columns()]
     totals = []
-    for from_last in (False, True):
+    for pick in (min, max):
         vol = 0
-        for cell in _triangulate(pts, dim, from_last):
-            D, _S, _T = smith_normal_form(tuple(vec_sub(p, cell[0]) for p in cell[1:]))
-            vol += prod(D[i][i] for i in range(dim))
+        # faces are sorted by dimension, so the last one is the whole cone
+        for cell in _pulling_cells(fl, fl.faces[-1], pick):
+            D, _S, _T = smith_normal_form(tuple(coords[j] for j in cell))
+            vol += prod(D[i][i] for i in range(A.d))
         totals.append(vol)
     if totals[0] != totals[1] or totals[0] <= 0:
         raise InternalError(
             INVARIANT_VIOLATED,
-            f"normalized_volume: star triangulations give {totals[0]} and {totals[1]} "
+            f"normalized_volume: pulling triangulations give {totals[0]} and {totals[1]} "
             f"for A={A.entries}",
         )
     return totals[0]

@@ -328,7 +328,7 @@ def integer_solve(rows, rhs):
     return tuple(int(v) for v in x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def _snf_cached(rows):
     return smith_normal_form(rows)
 
@@ -400,15 +400,18 @@ class LatticeBasis:
     def rank(self) -> int:
         return len(self.vectors)
 
-    def matrix_rows(self):
-        """Basis vectors as columns of an ambient x rank matrix."""
-        return tuple(tuple(v[i] for v in self.vectors) for i in range(self.ambient))
-
     def span_solve(self, v):
-        """Rational coordinates of v in this basis, or None if v is off-span."""
-        if not self.vectors:
-            return () if all(Fraction(x) == 0 for x in v) else None
-        return solve_rational(self.matrix_rows(), v)
+        """Rational coordinates of v in this basis, or None if v is off-span.
+
+        v is scaled to integers once and read by the cached rows of
+        `_residue_rows`: v is on the span iff the equation rows vanish on
+        it, and then the coordinate rows give its coordinates.
+        """
+        q, w = _scaled(self, v)
+        rows = _residue_rows(self)
+        if any(dot(row, w) for row, _den in rows[self.rank:]):
+            return None
+        return tuple(Fraction(dot(row, w), den * q) for row, den in rows[:self.rank])
 
     def member(self, v):
         """Integer coordinates of v if v lies in the lattice, else None."""
@@ -422,42 +425,38 @@ class LatticeBasis:
             out.append(int(x))
         return tuple(out)
 
-    def reduce_mod(self, v):
-        """Canonical residue of v (required to lie in the rational span).
 
-        Coordinates relative to the Hermite basis are shifted into [0, 1).
-        """
-        c = self.span_solve(v)
-        if c is None:
-            raise ValueError("vector is outside the rational span")
-        res = [Fraction(x) for x in v]
-        for coef, b in zip(c, self.vectors):
-            k = Fraction(coef).__floor__()
-            if k:
-                for i in range(self.ambient):
-                    res[i] -= k * b[i]
-        return tuple(res)
+def _scaled(basis: LatticeBasis, v):
+    """(q, q * v) for the least q > 0 making q * v integral; v must have
+    the basis's ambient length."""
+    if len(v) != basis.ambient:
+        raise ValueError(f"vector of length {len(v)} in a lattice in Z^{basis.ambient}")
+    v = [Fraction(x) for x in v]
+    q = lcm(*(x.denominator for x in v))
+    return q, [x.numerator * (q // x.denominator) for x in v]
 
 
 @lru_cache(maxsize=PARAMETER_CACHE_SIZE)
 def _residue_rows(basis: LatticeBasis):
-    """Rows reading the basis coordinates of any v in Q^ambient, with their
-    denominators: ((row, den), ...), one pair per basis vector.
+    """The one coordinate map of a lattice: ((row, den), ...), one integer
+    row with its denominator per ambient coordinate.
 
     One elimination of [basis | I] does it all.  Its pivot columns past the
     basis pick the standard complement (e_i is taken when it is independent
     of the basis and the e_j taken before it), and the row operations,
-    read off the right block, invert [basis | complement].  The first rank
-    rows of that inverse, scaled to integers, give the basis coordinates.
+    read off the right block, invert [basis | complement].  Row i over den
+    maps any v in Q^ambient to its i-th coordinate over basis +
+    complement: the first rank rows give the basis coordinates, and the
+    remaining rows vanish exactly on the span of the basis.
     """
     k, amb = basis.rank, basis.ambient
     m = [[Fraction(v[i]) for v in basis.vectors] + [Fraction(int(i == j)) for j in range(amb)]
          for i in range(amb)]
     if _rref(m)[:k] != list(range(k)):
         raise InternalError(
-            INVARIANT_VIOLATED, f"affine_residue: dependent basis {basis.vectors}")
+            INVARIANT_VIOLATED, f"_residue_rows: dependent basis {basis.vectors}")
     out = []
-    for row in m[:k]:
+    for row in m:
         den = lcm(*(x.denominator for x in row[k:]))
         out.append((tuple(int(x * den) for x in row[k:]), den))
     return tuple(out)
@@ -466,16 +465,13 @@ def _residue_rows(basis: LatticeBasis):
 def affine_residue(basis: LatticeBasis, v):
     """Canonical representative of v modulo the lattice, any v in Q^ambient.
 
-    Splits v over basis + a fixed standard complement and reduces the basis
-    coordinates c_i into [0, 1): the answer is v - sum floor(c_i) b_i.  The
-    rows that read off the c_i are cached per basis (`_residue_rows`), and a
-    call works in integers over the common denominator of v, so it does no
-    elimination.  Two vectors get the same residue iff they differ by a
-    lattice element.
+    Reads the basis coordinates c_i of v off the coordinate map
+    `_residue_rows`, the one `span_solve` uses, and reduces them into
+    [0, 1): the answer is v - sum floor(c_i) b_i.  A call works in integers
+    over the common denominator of v, so it does no elimination.  Two
+    vectors get the same residue iff they differ by a lattice element.
     """
-    v = [Fraction(x) for x in v]
-    q = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (q // x.denominator) for x in v]  # q * v
+    q, w = _scaled(basis, v)
     for (row, den), b in zip(_residue_rows(basis), basis.vectors):
         k = dot(row, w) // (den * q)
         if k:
@@ -521,7 +517,7 @@ def quotient_representatives(big: LatticeBasis, small: LatticeBasis) -> Quotient
         for coef, b in zip(c, big.vectors):
             for i in range(big.ambient):
                 vec[i] += coef * b[i]
-        reps.append(small.reduce_mod(tuple(vec)))
+        reps.append(affine_residue(small, tuple(vec)))
     reps = sorted(set(reps))
     if len(reps) != index:
         raise InternalError(

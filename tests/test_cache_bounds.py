@@ -26,10 +26,7 @@ UNBOUNDED = {
     "semigroup.is_normal",
     "toric.graver_basis",
     "toric.toric_ideal",
-    # keyed by a matrix and a small order, or by the integer rows of a
-    # face's equation system (lattice._snf_cached, reached through
-    # integer_solve)
-    "lattice._snf_cached",
+    # keyed by a matrix and a small order
     "series.kernel_ball",
 }
 

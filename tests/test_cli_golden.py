@@ -1,9 +1,12 @@
 """CLI stdout pinned byte for byte.
 
 Each command below runs in-process, and its exit status and stdout are
-hashed together.  The hashes were recorded from the Buchberger-based toric
-layer that `test_old_code_equivalence.py` keeps as an oracle, so they show
-that reading the Groebner bases off the Graver basis moved no output byte.
+hashed together.  The hashes were recorded from code that
+`test_old_code_equivalence.py` keeps as an oracle: the witness, contig,
+bideal, esets, classify and enumerate ones from the Buchberger-based toric
+layer, and the volume, faces, holes, laurent and check ones from the star
+triangulation over enumerated hyperplanes and the solve-per-call lattice
+coordinates.  So they show that neither replacement moved an output byte.
 After a deliberate output change, regenerate them with ``print_golden()``.
 """
 
@@ -49,6 +52,18 @@ CLASSIFY = {
 ENUMERATE = {"demo": "-1:1,-1:1,-1:1", "curve": "0:2,0:10", "ray_pair": "-2:2,-2:2"}
 README_MATRICES = {"demo": DEMO, "curve": CURVE, "ray_pair": RAY_PAIR}
 
+# the cone and volume commands, on polytopes with repeated and interior columns
+GEOMETRY_MATRICES = {
+    "demo": DEMO,
+    "normal3": NORMAL3,
+    "curve": CURVE,
+    "wide5": WIDE5,
+    "skew5": ((1, 1, 1, 1, 1), (0, 2, 3, 3, 2), (3, 2, 1, 1, 2)),
+}
+HOLES = {"curve": CURVE, "curve0134": CURVE0134}
+LAURENT_DEMO = ("0,0,0", "1,0,1", "0,1,1", "2,1,2", "1,1,0", "-1,0,-1")
+CHECK_SEEDS = (0, 1, 2)
+
 
 def _matrix(rows):
     return json.dumps({"A": [list(r) for r in rows]})
@@ -86,6 +101,16 @@ def commands():
     for name, box in ENUMERATE.items():
         out.append((f"enumerate {name} {box}", [
             "enumerate", "-A", _matrix(README_MATRICES[name]), "--box", box]))
+    for name, rows in GEOMETRY_MATRICES.items():
+        for cmd in ("volume", "faces"):
+            out.append((f"{cmd} {name}", [cmd, "-A", _matrix(rows)]))
+    for name, rows in HOLES.items():
+        out.append((f"holes {name}", ["holes", "-A", _matrix(rows)]))
+    for b in LAURENT_DEMO:
+        out.append((f"laurent demo {b}", ["laurent", "-A", _matrix(DEMO), "-b", b]))
+    for seed in CHECK_SEEDS:
+        out.append((f"check demo --seed {seed}", [
+            "check", "-A", _matrix(DEMO), "--seed", str(seed)]))
     return out
 
 
@@ -219,6 +244,27 @@ GOLDEN = {
     'enumerate demo -1:1,-1:1,-1:1': 'a7f3842bad4afa65f9fe09f101aea61204cc6437030c76ec54ca0e5cbe69609b',
     'enumerate curve 0:2,0:10': '8d231a3bc724320e2764b07fafc2fffc60efd73c5e7faaa16654cab03082b944',
     'enumerate ray_pair -2:2,-2:2': '84887020a5930834194bc2ab8c9df02e9948f8df1e81fa37f5cc8aaeeb3043db',
+    'volume demo': 'd04a844f55b5f8f8eb6d6e5987d4404f3b078b805bf27b91cd543600b6801144',
+    'faces demo': '7b40f57dcf458679403c34e6fa078ce85be7cb875d5386e58403258e30cafca5',
+    'volume normal3': '365e703ced2d260262157f95254a32eaa552f201cd838296d208902f6167f4bf',
+    'faces normal3': '5666dafb5320b0072b71b6e9b9a9e4a4a28a3f28e212747c37e7196d9e592910',
+    'volume curve': '8174866041597ffa18a51328245953501016c4dafbe489b166b2b6e65ee955af',
+    'faces curve': '7ed1afde29cf5c131f3649f52fcbea57b3661d9ec864bae03d14ad0071d62298',
+    'volume wide5': '9a07bad748fa61c0e123bdf4c32ac1005596d443c989f3cf267fc4df1513b033',
+    'faces wide5': 'dc526cf0b9086cfc667eb91bb33e8436d9c34d0267d0210173b0d8f28433a4f8',
+    'volume skew5': 'b10a7f2695503e180a5dc1c35fec3fe5edb139a6c0e69f7a8bd239d50d30ed48',
+    'faces skew5': 'a481c4da564c5fb3598b93d63a99866a99869618998655a5e5e574c7d19ae360',
+    'holes curve': '799bb2ab9894ff2a7e7bc614da4dc8f4aaa4379613ee2cb61ccff81575b6707d',
+    'holes curve0134': '189b1a6e9f2c03643e346b20d7ac39bc413ba048209137159a8262cecc161225',
+    'laurent demo 0,0,0': 'ef6e38bd086626759feb3acd24ccb406b1633984055cbcd59a8f3d318b236ca5',
+    'laurent demo 1,0,1': '4128bc84fcd79b71e2089dd69015d7811f26212f49eb9b34767b5622576da512',
+    'laurent demo 0,1,1': '0473c63c89f6165092d3e6835ec3fca630c817ff826ccaa97bce20a4360e4510',
+    'laurent demo 2,1,2': '1cbd214c373546f32b86bd865e8e2ad063c2349de9b5dc9df8a3c11a7f90a249',
+    'laurent demo 1,1,0': '0c10a025322095196e241ed13a5d2df9f77c6c38ae43799a1d00359746c58572',
+    'laurent demo -1,0,-1': 'b3cc51a1980b28c55ce94ff1a52c319d43586453a4986fb80e76a49d54e04dee',
+    'check demo --seed 0': 'c970e15e8c73dcc1d090ae5f1e5f03abf6d90ef0a49f0d02fd5affe053c1a661',
+    'check demo --seed 1': 'e3c0b61281b8368b167169936c075941ea307787d66a5d0e0b4d805e672cb841',
+    'check demo --seed 2': 'b3af1b51b2afaa8f8a526708fd480c5b96218925883fdce7082c9b5de2550e59',
 }
 
 

@@ -206,6 +206,23 @@ def test_affine_residue_rejects_a_dependent_basis():
     assert err.value.code == INVARIANT_VIOLATED
 
 
+def test_wrong_length_vectors_are_rejected():
+    L = LatticeBasis.from_generators(2, ((1, 1), (0, 2)))
+    assert L.member((2, 4)) == (2, 1)
+    for v in ((2,), (2, 3, 7), ()):
+        with pytest.raises(ValueError):
+            L.span_solve(v)
+        with pytest.raises(ValueError):
+            L.member(v)
+        with pytest.raises(ValueError):
+            affine_residue(L, v)
+    # the rank-zero lattice in Z^0 takes only the empty vector
+    empty = LatticeBasis.from_generators(0, ())
+    assert empty.member(()) == () and affine_residue(empty, ()) == ()
+    with pytest.raises(ValueError):
+        empty.member((0,))
+
+
 def test_quotient_representatives_counts():
     Z2 = LatticeBasis.from_generators(2, ((1, 0), (0, 1)))
     sub = LatticeBasis.from_generators(2, ((2, 0), (0, 3)))
@@ -216,7 +233,7 @@ def test_quotient_representatives_counts():
     rng = random.Random(83)
     for _ in range(50):
         v = (rng.randint(-9, 9), rng.randint(-9, 9))
-        assert sub.reduce_mod(v) in q.representatives
+        assert affine_residue(sub, v) in q.representatives
     # index-one quotient
     q1 = quotient_representatives(Z2, Z2)
     assert q1.index == 1

@@ -7,10 +7,12 @@ separate Gauss-Jordan loops for rank, solve and kernel, a fourth for the
 determinant, k separate solves for a unimodular inverse, the greedy rank
 test for a complement, one solve over [basis | complement] per residue,
 E_tau rebuilt from its face data on every call, a kernel ball scanned off
-an invertible minor, two copies of the polynomial division loop, and a
+an invertible minor, two copies of the polynomial division loop, a
 Buchberger loop that saturated a kernel basis one variable at a time for
-the toric ideal and its Groebner bases.  The new code must return exactly
-what they return.
+the toric ideal and its Groebner bases, a star triangulation over
+enumerated supporting hyperplanes for the normalized volume, and one solve
+per call for the coordinates of a vector in a lattice.  The new code must
+return exactly what they return.
 """
 
 import random
@@ -18,15 +20,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 
-from ahyper.classify import _hyperplane_coordinates, _triangulate, normalized_volume
+from ahyper.classify import normalized_volume
 from ahyper.cone import face_lattice, positive_functional
+from ahyper.errors import INVARIANT_VIOLATED, AhgError, InternalError
 from ahyper.lattice import (
     IntMatrix,
     LatticeBasis,
     kernel_lattice,
     affine_residue,
+    clear_denominators,
     column_lattice,
     dot,
+    homogeneity_witness,
     integer_solve,
     invert_unimodular,
     nullspace_rational,
@@ -206,6 +211,94 @@ def old_affine_residue(basis, v):
             for i in range(basis.ambient):
                 res[i] += c * cols[idx][i]
     return tuple(res)
+
+
+def old_span_solve(basis, v):
+    """LatticeBasis.span_solve as it was: one solve per call."""
+    if not basis.vectors:
+        return () if all(Fraction(x) == 0 for x in v) else None
+    rows = tuple(tuple(b[i] for b in basis.vectors) for i in range(basis.ambient))
+    return old_solve_rational(rows, v)
+
+
+def old_member(basis, v):
+    c = old_span_solve(basis, v)
+    if c is None:
+        return None
+    out = []
+    for x in c:
+        if Fraction(x).denominator != 1:
+            return None
+        out.append(int(x))
+    return tuple(out)
+
+
+def old_reduce_mod(basis, v):
+    c = old_span_solve(basis, v)
+    if c is None:
+        raise ValueError("vector is outside the rational span")
+    res = [Fraction(x) for x in v]
+    for coef, b in zip(c, basis.vectors):
+        k = Fraction(coef).__floor__()
+        if k:
+            for i in range(basis.ambient):
+                res[i] -= k * b[i]
+    return tuple(res)
+
+
+def old_supporting_hyperplanes(pts, dim):
+    seen = {}
+    for sub in combinations(pts, dim):
+        diffs = [vec_sub(p, sub[0]) for p in sub[1:]]
+        if diffs:
+            kern = old_nullspace_rational(diffs)
+        else:
+            kern = [(Fraction(1),)]
+        if len(kern) != 1:
+            continue
+        normal = clear_denominators(kern[0])
+        offset = dot(normal, sub[0])
+        values = [dot(normal, p) for p in pts]
+        if any(v > offset for v in values):
+            if any(v < offset for v in values):
+                continue
+            normal = tuple(-x for x in normal)
+            offset = -offset
+            values = [-v for v in values]
+        key = (normal, offset)
+        if key not in seen:
+            seen[key] = tuple(p for p, v in zip(pts, values) if v == offset)
+    return [(n, c, members) for (n, c), members in seen.items()]
+
+
+def old_triangulate(pts, dim, from_last=False):
+    pts = sorted(set(pts))
+    if dim == 0:
+        return [(pts[0],)]
+    apex = pts[-1] if from_last else pts[0]
+    cells = []
+    for normal, offset, members in old_supporting_hyperplanes(pts, dim):
+        if dot(normal, apex) == offset:
+            continue
+        drop = max(range(dim), key=lambda i: abs(normal[i]))
+        flat = {tuple(p[:drop] + p[drop + 1 :]): p for p in members}
+        for cell in old_triangulate(sorted(flat), dim - 1):
+            cells.append((apex,) + tuple(flat[q] for q in cell))
+    return cells
+
+
+def old_hyperplane_coordinates(A):
+    homogeneity_witness(A)
+    base = A.column(0)
+    gens = [vec_sub(A.column(j), base) for j in range(1, A.n)]
+    basis = LatticeBasis.from_generators(A.d, gens)
+    pts = []
+    for j in range(A.n):
+        c = old_member(basis, vec_sub(A.column(j), base))
+        if c is None:
+            raise InternalError(INVARIANT_VIOLATED, f"column {j} of {A.entries} is off its lattice")
+        pts.append(c)
+    return pts, basis.rank
 
 
 def old_in_na_mod_face(A, tau, gamma):
@@ -548,46 +641,125 @@ def test_smith_diagonal_product_is_the_absolute_determinant():
 
 
 def old_normalized_volume(A):
-    pts, dim = _hyperplane_coordinates(A)
+    pts, dim = old_hyperplane_coordinates(A)
     if dim == 0:
         return 1
     totals = []
     for from_last in (False, True):
         vol = Fraction(0)
-        for cell in _triangulate(pts, dim, from_last):
+        for cell in old_triangulate(pts, dim, from_last):
             vol += abs(old_det([vec_sub(p, cell[0]) for p in cell[1:]]))
         totals.append(vol)
+    if totals[0] != totals[1] or totals[0] <= 0:
+        raise InternalError(INVARIANT_VIOLATED, f"star triangulations of {A.entries} disagree")
     return int(totals[0])
 
 
+def volume_matrices(rng, count):
+    """Full-rank matrices with d = 1..4, up to d + 3 columns, entries -2..3;
+    most are homogeneous (first row all ones), and some get a repeated
+    column or the sum of two columns less a third as an extra column."""
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 4)
+        n = rng.randint(d, d + 2)
+        top = [(1,) * n] if rng.random() < 0.85 else []
+        rows = top + [[rng.randint(-2, 3) for _ in range(n)] for _ in range(d - len(top))]
+        cols = [tuple(r[j] for r in rows) for j in range(n)]
+        extra = rng.randrange(3) if n >= 3 else 0
+        if extra == 1:
+            cols.insert(rng.randrange(n + 1), rng.choice(cols))
+        elif extra == 2:
+            a, b, c = rng.sample(cols, 3)
+            cols.append(tuple(x + y - z for x, y, z in zip(a, b, c)))
+        rows = tuple(tuple(c[i] for c in cols) for i in range(d))
+        if rational_rank(rows) == d:
+            out.append(IntMatrix(rows))
+    return out
+
+
+def _volume_or_code(volume, A):
+    try:
+        return volume(A)
+    except AhgError as err:
+        return err.code
+
+
 def test_normalized_volume_matches_the_determinant_version():
-    matrices = WITNESS_MATRICES + (
+    fixed = WITNESS_MATRICES + (
         ((1, 1, 1, 1, 1), (0, 2, 4, 7, 9)),
         ((1, 1, 1, 1, 1, 1), (0, 1, 2, 0, 1, 0), (0, 0, 0, 1, 1, 2)),
         ((1, 1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1)),
         ((1, 1), (0, 2)),
+        ((1, 1, 1, 1, 1), (0, 2, 3, 3, 2), (3, 2, 1, 1, 2)),
     )
-    for rows in matrices:
-        A = IntMatrix(rows)
-        assert normalized_volume(A) == old_normalized_volume(A)
+    matrices = [IntMatrix(rows) for rows in fixed] + volume_matrices(random.Random(8106), 300)
+    raised = repeated = inner = 0
+    for A in matrices:
+        got = _volume_or_code(normalized_volume, A)
+        assert got == _volume_or_code(old_normalized_volume, A), A.entries
+        if isinstance(got, str):
+            raised += 1
+            continue
+        cols = A.columns()
+        vertices = {cols[j] for f in face_lattice(A).faces if f.dim == 1 for j in f.columns}
+        repeated += len(set(cols)) < len(cols)
+        inner += len(vertices) < len(set(cols))
+    # the sample covers every shape the triangulation has to handle
+    assert raised > 20 and repeated > 80 and inner > 40
+    assert {A.d for A in matrices} == {1, 2, 3, 4}
 
 
-def test_affine_residue_matches_the_solve_per_call():
-    """Residues read off the cached rows equal one solve over the basis and
-    the greedy complement, so the complement choice is unchanged too."""
+def seeded_lattices():
+    """400 bases of ranks 0 to ambient, each with four rational vectors and
+    one integer vector, mostly off the span when the rank is short."""
     rng = random.Random(8104)
     for _ in range(400):
         amb = rng.randint(0, 5)
         gens = random_rows(rng, rng.randint(0, amb + 1), amb) if amb else []
         basis = LatticeBasis.from_generators(amb, gens)
+        vectors = []
         for _ in range(4):
             den = rng.choice((1, 1, 2, 3, 6))
-            v = tuple(Fraction(rng.randint(-9, 9), den) for _ in range(amb))
+            vectors.append(tuple(Fraction(rng.randint(-9, 9), den) for _ in range(amb)))
+        vectors.append(tuple(rng.randint(-9, 9) for _ in range(amb)))
+        yield basis, vectors
+
+
+def test_affine_residue_matches_the_solve_per_call():
+    """Residues read off the cached rows equal one solve over the basis and
+    the greedy complement, so the complement choice is unchanged too."""
+    for basis, vectors in seeded_lattices():
+        for v in vectors:
             got = affine_residue(basis, v)
             assert got == old_affine_residue(basis, v), (basis, v)
             assert all(type(x) is Fraction for x in got)
-        ints = tuple(rng.randint(-9, 9) for _ in range(amb))
-        assert affine_residue(basis, ints) == old_affine_residue(basis, ints)
+
+
+def test_span_coordinates_match_the_solve_per_call():
+    """span_solve, member and the residue of a vector in the span equal
+    what one solve per call gave, on and off the span and the lattice."""
+    rng = random.Random(8107)
+    on_span = off_span = members = 0
+    for basis, vectors in seeded_lattices():
+        # integer and rational combinations of the basis lie on the span
+        for den in (1, 2, 3):
+            coefs = [Fraction(rng.randint(-4, 4), den) for _ in basis.vectors]
+            vectors.append(tuple(
+                sum((c * b[i] for c, b in zip(coefs, basis.vectors)), Fraction(0))
+                for i in range(basis.ambient)
+            ))
+        for v in vectors:
+            c = basis.span_solve(v)
+            assert c == old_span_solve(basis, v), (basis, v)
+            assert basis.member(v) == old_member(basis, v), (basis, v)
+            if c is None:
+                off_span += 1
+                continue
+            on_span += 1
+            members += basis.member(v) is not None
+            assert affine_residue(basis, v) == old_reduce_mod(basis, v), (basis, v)
+    assert on_span > 1500 and off_span > 1000 and 1000 < members < on_span
 
 
 # the census workload's matrices: the paper's three, one cone over a
