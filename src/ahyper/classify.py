@@ -33,7 +33,7 @@ from .lattice import (
     PARAMETER_CACHE_SIZE,
     IntMatrix,
     column_lattice,
-    smith_normal_form,
+    hermite_normal_form,
     vec_add,
     vec_sub,
 )
@@ -451,7 +451,7 @@ def normalized_volume(A: IntMatrix) -> int:
 
     The cone over the polytope is triangulated by pulling over its face
     lattice.  A cell's volume is |det| of its columns' coordinates in ZA,
-    the product of their Smith diagonal: ZA cap {h = 0} is the lattice of
+    the product of their Hermite diagonal: ZA cap {h = 0} is the lattice of
     differences a_j - a_0, so this is the normalization above.  Pulling
     from each face's first and from its last column must give one total.
     """
@@ -463,8 +463,8 @@ def normalized_volume(A: IntMatrix) -> int:
         vol = 0
         # faces are sorted by dimension, so the last one is the whole cone
         for cell in _pulling_cells(fl, fl.faces[-1], pick):
-            D, _S, _T = smith_normal_form(tuple(coords[j] for j in cell))
-            vol += prod(D[i][i] for i in range(A.d))
+            H, _U = hermite_normal_form(tuple(coords[j] for j in cell))
+            vol += prod(H[i][i] for i in range(A.d))
         totals.append(vol)
     if totals[0] != totals[1] or totals[0] <= 0:
         raise InternalError(

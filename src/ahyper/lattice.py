@@ -4,7 +4,9 @@ Everything here is arbitrary precision: int for lattice data, Fraction for
 rational solves.  No floats.  Matrices are tuples of row tuples; vectors are
 plain tuples.  The Hermite form convention is the column one: H = M * U with
 U unimodular, so the column lattice never changes and residues reduced
-against H are canonical.
+against H are canonical.  It is the one integer elimination: integer
+solves, saturated kernels, coset lists and cell volumes are all read off
+H and U.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import product
+from math import gcd, lcm, prod
 
 from .errors import (
     INVARIANT_VIOLATED,
@@ -196,141 +199,37 @@ def hermite_normal_form(M):
     return H, tuple(tuple(r) for r in U)
 
 
-def smith_normal_form(M):
-    """Smith form: (D, S, T) with D = S * M * T, S and T unimodular."""
-    rows = [list(r) for r in M]
-    d = len(rows)
-    n = len(rows[0]) if d else 0
-    S = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def rowop(i, k, a, b, c, e):
-        for mat in (rows, S):
-            ri = mat[i][:]
-            rk = mat[k][:]
-            mat[i] = [a * x + b * y for x, y in zip(ri, rk)]
-            mat[k] = [c * x + e * y for x, y in zip(ri, rk)]
-
-    def colop(j, k, a, b, c, e):
-        for mat in (rows, T):
-            for r in mat:
-                rj, rk = r[j], r[k]
-                r[j] = a * rj + b * rk
-                r[k] = c * rj + e * rk
-
-    def pivot_nonzero(t):
-        for i in range(t, d):
-            for j in range(t, n):
-                if rows[i][j]:
-                    return i, j
-        return None
-
-    t = 0
-    while t < min(d, n):
-        pos = pivot_nonzero(t)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            rowop(t, i, 0, 1, 1, 0)
-        if j != t:
-            colop(t, j, 0, 1, 1, 0)
-        while True:
-            # Clear column t with row ops, then row t with column ops.  When
-            # the pivot divides the entry we subtract a multiple, which never
-            # touches the pivot row or column; otherwise the xgcd transform
-            # strictly shrinks |pivot|, so the loop terminates.
-            done = True
-            for i in range(t + 1, d):
-                b = rows[i][t]
-                if b:
-                    a = rows[t][t]
-                    if b % a == 0:
-                        rowop(t, i, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        rowop(t, i, x, y, -(b // g), a // g)
-                    done = False
-            for j in range(t + 1, n):
-                b = rows[t][j]
-                if b:
-                    a = rows[t][t]
-                    if b % a == 0:
-                        colop(t, j, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        colop(t, j, x, y, -(b // g), a // g)
-                    done = False
-            if done:
-                break
-        if rows[t][t] < 0:
-            for mat in (rows, S):
-                mat[t] = [-x for x in mat[t]]
-        t += 1
-    # enforce divisibility d_i | d_{i+1}
-    r = min(d, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            a, b = rows[i][i], rows[i + 1][i + 1]
-            if a and b and b % a != 0:
-                rowop(i, i + 1, 1, 1, 0, 1)  # row_i += row_{i+1}
-                a2, b2 = rows[i][i], rows[i][i + 1]
-                g, x, y = xgcd(a2, b2)
-                colop(i, i + 1, x, y, -(b2 // g), a2 // g)
-                if rows[i + 1][i]:
-                    q = rows[i + 1][i] // rows[i][i]
-                    rowop(i, i + 1, 1, 0, -q, 1)  # row_{i+1} -= q*row_i
-                for t2 in (i, i + 1):
-                    if rows[t2][t2] < 0:
-                        for mat in (rows, S):
-                            mat[t2] = [-x for x in mat[t2]]
-                changed = True
-    D = tuple(tuple(r_) for r_ in rows)
-    return D, tuple(tuple(r_) for r_ in S), tuple(tuple(r_) for r_ in T)
-
-
-def invert_unimodular(U):
-    """Exact inverse of a unimodular integer matrix, read off the reduced
-    form of [U | I]."""
-    k = len(U)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
-         for i, row in enumerate(U)]
-    if _rref(m) != list(range(k)):
-        raise ValueError("matrix is not invertible")
-    return tuple(tuple(int(x) for x in row[k:]) for row in m)
-
-
 def integer_solve(rows, rhs):
     """One integer solution of rows * x = rhs, or None.
 
-    rhs may be rational; non-integral targets are simply unsolvable unless
-    the fractional parts cancel, which the Smith reduction detects.
+    With H = rows * U in column Hermite form, x = U y for any integer y
+    with H y = rhs.  rhs may be rational: it is scaled once by the common
+    denominator q of its entries, and y is read off H by forward
+    substitution in integers.  A pivot row fixes the next coordinate of y,
+    which must be integral; a row without a pivot must already hold.  The
+    coordinates past the pivots are zero.
     """
-    D, S, T = _snf_cached(tuple(tuple(r) for r in rows))
-    d = len(rows)
-    n = len(rows[0]) if d else 0
-    y = mat_vec(S, [Fraction(x) for x in rhs])
-    r = min(d, n)
-    z = [Fraction(0)] * n
-    for i in range(d):
-        di = D[i][i] if i < r else 0
-        if di:
-            q = y[i] / di
-            if q.denominator != 1:
+    H, U = _hnf_cached(tuple(tuple(r) for r in rows))
+    n = len(U)
+    q = lcm(*(x.denominator for x in rhs))
+    y = []
+    for row, x in zip(H, rhs):
+        t = x.numerator * (q // x.denominator) - q * dot(row, y)
+        k = len(y)
+        if k < n and row[k]:
+            c, r = divmod(t, q * row[k])
+            if r:
                 return None
-            z[i] = q
-        else:
-            if y[i]:
-                return None
-    x = mat_vec(T, z)
-    return tuple(int(v) for v in x)
+            y.append(c)
+        elif t:
+            return None
+    y += [0] * (n - len(y))
+    return mat_vec(U, y)
 
 
 @lru_cache(maxsize=PARAMETER_CACHE_SIZE)
-def _snf_cached(rows):
-    return smith_normal_form(rows)
+def _hnf_cached(rows):
+    return hermite_normal_form(rows)
 
 
 @dataclass(frozen=True)
@@ -490,7 +389,14 @@ class QuotientResidues:
 
 
 def quotient_representatives(big: LatticeBasis, small: LatticeBasis) -> QuotientResidues:
-    """All cosets of small inside big, canonically reduced against small."""
+    """All cosets of small inside big, canonically reduced against small.
+
+    With C the coordinates of the small basis in the big one, the cosets
+    are those of C Z^k in Z^k.  C is square and nonsingular, so its
+    Hermite form H is lower triangular with a positive diagonal and spans
+    the same lattice: the box 0 <= y_i < H_ii holds one point of each
+    coset, and the index is the product of the H_ii.
+    """
     # coordinates of the small basis in the big basis, as columns
     C = [big.member(v) for v in small.vectors]
     if None in C:
@@ -501,24 +407,14 @@ def quotient_representatives(big: LatticeBasis, small: LatticeBasis) -> Quotient
     if k == 0:
         zero = tuple(Fraction(0) for _ in range(big.ambient))
         return QuotientResidues(big, small, 1, (zero,))
-    Crows = tuple(tuple(C[j][i] for j in range(k)) for i in range(k))
-    D, S, _T = smith_normal_form(Crows)
-    diag = [abs(D[i][i]) for i in range(k)]
-    index = 1
-    for x in diag:
-        index *= x
-    Sinv = invert_unimodular(S)
-    reps = []
-    from itertools import product
-
-    for y in product(*(range(m) for m in diag)):
-        c = mat_vec(Sinv, y)
-        vec = [0] * big.ambient
-        for coef, b in zip(c, big.vectors):
-            for i in range(big.ambient):
-                vec[i] += coef * b[i]
-        reps.append(affine_residue(small, tuple(vec)))
-    reps = sorted(set(reps))
+    H, _U = hermite_normal_form(tuple(tuple(C[j][i] for j in range(k)) for i in range(k)))
+    diag = [H[i][i] for i in range(k)]
+    index = prod(diag)
+    reps = sorted({
+        affine_residue(small, tuple(
+            sum(c * b[i] for c, b in zip(y, big.vectors)) for i in range(big.ambient)))
+        for y in product(*(range(m) for m in diag))
+    })
     if len(reps) != index:
         raise InternalError(
             INVARIANT_VIOLATED,
@@ -529,16 +425,16 @@ def quotient_representatives(big: LatticeBasis, small: LatticeBasis) -> Quotient
 
 
 def integer_kernel(rows, ncols):
-    """Saturated basis of {x in Z^ncols : rows * x = 0}, via the Smith form.
+    """Saturated basis of {x in Z^ncols : rows * x = 0}, via the Hermite form.
 
-    With D = S * rows * T, the columns of T past the nonzero diagonal span
-    the kernel, and T is unimodular, so they span it over Z.
+    With H = rows * U, the columns of U past H's nonzero columns span the
+    kernel, and U is unimodular, so they span it over Z.
     """
     if not rows:
         return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-    D, _S, T = smith_normal_form(tuple(tuple(r) for r in rows))
-    r = sum(1 for i in range(min(len(rows), ncols)) if D[i][i])
-    return [tuple(T[i][j] for i in range(ncols)) for j in range(r, ncols)]
+    H, U = _hnf_cached(tuple(tuple(r) for r in rows))
+    r = sum(1 for j in range(ncols) if any(row[j] for row in H))
+    return [tuple(U[i][j] for i in range(ncols)) for j in range(r, ncols)]
 
 
 @lru_cache(maxsize=None)

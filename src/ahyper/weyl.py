@@ -131,21 +131,6 @@ def weyl_one(n: int) -> WeylElement:
     return weyl_monomial(n, (0,) * n, (0,) * n)
 
 
-def weyl_x(n: int, j: int) -> WeylElement:
-    e = tuple(1 if t == j else 0 for t in range(n))
-    return weyl_monomial(n, e, (0,) * n)
-
-
-def weyl_d(n: int, j: int) -> WeylElement:
-    e = tuple(1 if t == j else 0 for t in range(n))
-    return weyl_monomial(n, (0,) * n, e)
-
-
-def weyl_theta(n: int, j: int) -> WeylElement:
-    e = tuple(1 if t == j else 0 for t in range(n))
-    return weyl_monomial(n, e, e)
-
-
 def weyl_mul(P: WeylElement, Q: WeylElement) -> WeylElement:
     """Exact product, normal order restored termwise.
 

@@ -1,5 +1,8 @@
 """Helpers that only the tests call: region labels, resonance flags,
-b-ideal variety membership and Weyl-side identities used as checks."""
+b-ideal variety membership, Weyl-side identities and the one-variable
+Weyl elements x_j, d_j and theta_j used as checks, and the Smith form with
+its unimodular inverse, kept as the oracle for the Hermite-form integer
+layer."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -7,10 +10,10 @@ from fractions import Fraction
 from ahyper.classify import curve_facet_indices, curve_semigroups
 from ahyper.cone import facets
 from ahyper.errors import PARSE, InputError
-from ahyper.lattice import IntMatrix, dot, vec_sub
+from ahyper.lattice import IntMatrix, _rref, dot, vec_sub, xgcd
 from ahyper.semigroup import _face_sublattice, in_NA
 from ahyper.toric import BIdeal, BPoly, divide, grevlex_key, leading_term, toric_ideal
-from ahyper.weyl import WeylElement
+from ahyper.weyl import WeylElement, weyl_monomial
 
 
 def curve_part(A: IntMatrix, beta) -> str:
@@ -105,3 +108,125 @@ def in_left_toric_ideal(A: IntMatrix, E: WeylElement) -> bool:
     for (alpha, m), c in E.terms.items():
         slices.setdefault(alpha, {})[m] = c
     return all(not divide(p, triples, key)[0] for p in slices.values())
+
+
+def _unit(n: int, j: int) -> tuple[int, ...]:
+    return tuple(1 if t == j else 0 for t in range(n))
+
+
+def weyl_x(n: int, j: int) -> WeylElement:
+    return weyl_monomial(n, _unit(n, j), (0,) * n)
+
+
+def weyl_d(n: int, j: int) -> WeylElement:
+    return weyl_monomial(n, (0,) * n, _unit(n, j))
+
+
+def weyl_theta(n: int, j: int) -> WeylElement:
+    return weyl_monomial(n, _unit(n, j), _unit(n, j))
+
+
+def smith_normal_form(M):
+    """Smith form: (D, S, T) with D = S * M * T, S and T unimodular."""
+    rows = [list(r) for r in M]
+    d = len(rows)
+    n = len(rows[0]) if d else 0
+    S = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def rowop(i, k, a, b, c, e):
+        for mat in (rows, S):
+            ri = mat[i][:]
+            rk = mat[k][:]
+            mat[i] = [a * x + b * y for x, y in zip(ri, rk)]
+            mat[k] = [c * x + e * y for x, y in zip(ri, rk)]
+
+    def colop(j, k, a, b, c, e):
+        for mat in (rows, T):
+            for r in mat:
+                rj, rk = r[j], r[k]
+                r[j] = a * rj + b * rk
+                r[k] = c * rj + e * rk
+
+    def pivot_nonzero(t):
+        for i in range(t, d):
+            for j in range(t, n):
+                if rows[i][j]:
+                    return i, j
+        return None
+
+    t = 0
+    while t < min(d, n):
+        pos = pivot_nonzero(t)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            rowop(t, i, 0, 1, 1, 0)
+        if j != t:
+            colop(t, j, 0, 1, 1, 0)
+        while True:
+            # Clear column t with row ops, then row t with column ops.  When
+            # the pivot divides the entry we subtract a multiple, which never
+            # touches the pivot row or column; otherwise the xgcd transform
+            # strictly shrinks |pivot|, so the loop terminates.
+            done = True
+            for i in range(t + 1, d):
+                b = rows[i][t]
+                if b:
+                    a = rows[t][t]
+                    if b % a == 0:
+                        rowop(t, i, 1, 0, -(b // a), 1)
+                    else:
+                        g, x, y = xgcd(a, b)
+                        rowop(t, i, x, y, -(b // g), a // g)
+                    done = False
+            for j in range(t + 1, n):
+                b = rows[t][j]
+                if b:
+                    a = rows[t][t]
+                    if b % a == 0:
+                        colop(t, j, 1, 0, -(b // a), 1)
+                    else:
+                        g, x, y = xgcd(a, b)
+                        colop(t, j, x, y, -(b // g), a // g)
+                    done = False
+            if done:
+                break
+        if rows[t][t] < 0:
+            for mat in (rows, S):
+                mat[t] = [-x for x in mat[t]]
+        t += 1
+    # enforce divisibility d_i | d_{i+1}
+    r = min(d, n)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            a, b = rows[i][i], rows[i + 1][i + 1]
+            if a and b and b % a != 0:
+                rowop(i, i + 1, 1, 1, 0, 1)  # row_i += row_{i+1}
+                a2, b2 = rows[i][i], rows[i][i + 1]
+                g, x, y = xgcd(a2, b2)
+                colop(i, i + 1, x, y, -(b2 // g), a2 // g)
+                if rows[i + 1][i]:
+                    q = rows[i + 1][i] // rows[i][i]
+                    rowop(i, i + 1, 1, 0, -q, 1)  # row_{i+1} -= q*row_i
+                for t2 in (i, i + 1):
+                    if rows[t2][t2] < 0:
+                        for mat in (rows, S):
+                            mat[t2] = [-x for x in mat[t2]]
+                changed = True
+    D = tuple(tuple(r_) for r_ in rows)
+    return D, tuple(tuple(r_) for r_ in S), tuple(tuple(r_) for r_ in T)
+
+
+def invert_unimodular(U):
+    """Exact inverse of a unimodular integer matrix, read off the reduced
+    form of [U | I]."""
+    k = len(U)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+         for i, row in enumerate(U)]
+    if _rref(m) != list(range(k)):
+        raise ValueError("matrix is not invertible")
+    return tuple(tuple(int(x) for x in row[k:]) for row in m)

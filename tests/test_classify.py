@@ -39,7 +39,7 @@ from ahyper.errors import (
 from ahyper.lattice import (
     PARAMETER_CACHE_SIZE,
     IntMatrix,
-    _snf_cached,
+    _hnf_cached,
     affine_residue,
     vec_add,
     vec_sub,
@@ -396,7 +396,7 @@ def test_parameter_caches_stay_bounded():
     caches = (_residue_table, _in_na_int, _in_na_mod_face_int)
     bounded_only = (
         toric.minimal_solutions, toric.m_chi, toric.b_ideal, minimal_negative_support,
-        _snf_cached,
+        _hnf_cached,
     )
     for cached in caches + bounded_only:
         assert cached.cache_parameters()["maxsize"] == PARAMETER_CACHE_SIZE

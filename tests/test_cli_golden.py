@@ -4,9 +4,11 @@ Each command below runs in-process, and its exit status and stdout are
 hashed together.  The hashes were recorded from code that
 `test_old_code_equivalence.py` keeps as an oracle: the witness, contig,
 bideal, esets, classify and enumerate ones from the Buchberger-based toric
-layer, and the volume, faces, holes, laurent and check ones from the star
+layer, the volume, faces, holes, laurent and check ones from the star
 triangulation over enumerated hyperplanes and the solve-per-call lattice
-coordinates.  So they show that neither replacement moved an output byte.
+coordinates, and the z2z2 ones, whose face (0, 2, 5) has a non-cyclic
+quotient, from the Smith-form integer layer.  So they show that no
+replacement moved an output byte.
 After a deliberate output change, regenerate them with ``print_golden()``.
 """
 
@@ -64,6 +66,11 @@ HOLES = {"curve": CURVE, "curve0134": CURVE0134}
 LAURENT_DEMO = ("0,0,0", "1,0,1", "0,1,1", "2,1,2", "1,1,0", "-1,0,-1")
 CHECK_SEEDS = (0, 1, 2)
 
+# its face (0, 2, 5) has the non-cyclic face quotient Z/2 x Z/2
+Z2Z2 = ((1, 1, 1, 1, 1, 1), (2, 2, 2, 3, 2, 0), (3, 1, 3, 0, 0, 3), (2, 1, 4, 2, 0, 2))
+Z2Z2_ESETS = ("0,0,0,0", "1/2,1,1/3,2", "2,3,4,5")
+Z2Z2_CLASSIFY = ("0,0,0,0", "1,2,3,2")
+
 
 def _matrix(rows):
     return json.dumps({"A": [list(r) for r in rows]})
@@ -111,6 +118,13 @@ def commands():
     for seed in CHECK_SEEDS:
         out.append((f"check demo --seed {seed}", [
             "check", "-A", _matrix(DEMO), "--seed", str(seed)]))
+    for b in Z2Z2_ESETS:
+        out.append((f"esets z2z2 {b}", ["esets", "-A", _matrix(Z2Z2), "-b", b]))
+    b, b2 = Z2Z2_CLASSIFY
+    out.append((f"classify z2z2 {b} {b2}", [
+        "classify", "-A", _matrix(Z2Z2), "-b", b, "-b2", b2]))
+    for cmd in ("volume", "faces"):
+        out.append((f"{cmd} z2z2", [cmd, "-A", _matrix(Z2Z2)]))
     return out
 
 
@@ -265,6 +279,12 @@ GOLDEN = {
     'check demo --seed 0': 'c970e15e8c73dcc1d090ae5f1e5f03abf6d90ef0a49f0d02fd5affe053c1a661',
     'check demo --seed 1': 'e3c0b61281b8368b167169936c075941ea307787d66a5d0e0b4d805e672cb841',
     'check demo --seed 2': 'b3af1b51b2afaa8f8a526708fd480c5b96218925883fdce7082c9b5de2550e59',
+    'esets z2z2 0,0,0,0': '697533d2eb6258669582efa189c9e1f1816aab0f104fea1644b78c1e293899c5',
+    'esets z2z2 1/2,1,1/3,2': '571ac995572aa7075079a217a620004b86a73e02ea582d8ff8e0e14dd0ffc57e',
+    'esets z2z2 2,3,4,5': '528c36b5df07e21f9cea81075b0e2c9852727abb7261644595cd75ee9035dc6b',
+    'classify z2z2 0,0,0,0 1,2,3,2': '90cbb7adcb97f9fdac1448c4cd1b92e632dbf92e8ac93736f1305909d4bcb0c4',
+    'volume z2z2': '91212c526df734ae82b4c1ed060fc2716e467a3acf05ef0f39a797f4b86b5e2b',
+    'faces z2z2': 'ce3e47568c1ba3000cf16d784ce38551d31733fbbf1ffc5e33d20f1bc36a7c55',
 }
 
 

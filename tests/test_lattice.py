@@ -1,9 +1,12 @@
-"""Exact linear algebra invariants: Hermite, Smith, kernels, quotients."""
+"""Exact linear algebra invariants: the Hermite form and what reads it
+(integer solves, kernels, quotients), and the Smith form kept in the
+tests as an oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from helpers import invert_unimodular, smith_normal_form
 
 from ahyper.errors import INVARIANT_VIOLATED, InputError, InternalError
 from ahyper.lattice import (
@@ -15,12 +18,10 @@ from ahyper.lattice import (
     hermite_normal_form,
     homogeneity_witness,
     integer_solve,
-    invert_unimodular,
     kernel_lattice,
     mat_vec,
     nullspace_rational,
     quotient_representatives,
-    smith_normal_form,
     xgcd,
 )
 

@@ -10,15 +10,20 @@ E_tau rebuilt from its face data on every call, a kernel ball scanned off
 an invertible minor, two copies of the polynomial division loop, a
 Buchberger loop that saturated a kernel basis one variable at a time for
 the toric ideal and its Groebner bases, a star triangulation over
-enumerated supporting hyperplanes for the normalized volume, and one solve
-per call for the coordinates of a vector in a lattice.  The new code must
-return exactly what they return.
+enumerated supporting hyperplanes for the normalized volume, one solve
+per call for the coordinates of a vector in a lattice, and the Smith form
+(kept in `helpers.py`) behind integer solves, integer kernels and coset
+lists.  The new code must return exactly what they return; where the
+Hermite form picks another particular solution or kernel basis, it must
+give the same solvability and span the same lattice.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm, prod
+
+from helpers import invert_unimodular, smith_normal_form
 
 from ahyper.classify import normalized_volume
 from ahyper.cone import face_lattice, positive_functional
@@ -31,13 +36,15 @@ from ahyper.lattice import (
     clear_denominators,
     column_lattice,
     dot,
+    hermite_normal_form,
     homogeneity_witness,
+    integer_kernel,
     integer_solve,
-    invert_unimodular,
+    mat_vec,
     nullspace_rational,
     quotient_representatives,
+    QuotientResidues,
     rational_rank,
-    smith_normal_form,
     solve_rational,
     vec_sub,
 )
@@ -337,6 +344,75 @@ def old_in_na_mod_face(A, tau, gamma):
     return search(0, gamma)
 
 
+def old_integer_solve(rows, rhs):
+    """integer_solve as it was: the Smith form, applied in Fractions."""
+    D, S, T = smith_normal_form(tuple(tuple(r) for r in rows))
+    d = len(rows)
+    n = len(rows[0]) if d else 0
+    y = mat_vec(S, [Fraction(x) for x in rhs])
+    r = min(d, n)
+    z = [Fraction(0)] * n
+    for i in range(d):
+        di = D[i][i] if i < r else 0
+        if di:
+            q = y[i] / di
+            if q.denominator != 1:
+                return None
+            z[i] = q
+        else:
+            if y[i]:
+                return None
+    x = mat_vec(T, z)
+    return tuple(int(v) for v in x)
+
+
+def old_integer_kernel(rows, ncols):
+    """integer_kernel as it was: the columns of the Smith T past the
+    nonzero diagonal."""
+    if not rows:
+        return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
+    D, _S, T = smith_normal_form(tuple(tuple(r) for r in rows))
+    r = sum(1 for i in range(min(len(rows), ncols)) if D[i][i])
+    return [tuple(T[i][j] for i in range(ncols)) for j in range(r, ncols)]
+
+
+def old_quotient_representatives(big, small):
+    """quotient_representatives as it was: the Smith box mapped back
+    through the inverse of S."""
+    C = [big.member(v) for v in small.vectors]
+    k = big.rank
+    if k == 0:
+        zero = tuple(Fraction(0) for _ in range(big.ambient))
+        return QuotientResidues(big, small, 1, (zero,))
+    Crows = tuple(tuple(C[j][i] for j in range(k)) for i in range(k))
+    D, S, _T = smith_normal_form(Crows)
+    diag = [abs(D[i][i]) for i in range(k)]
+    Sinv = invert_unimodular(S)
+    reps = []
+    for y in product(*(range(m) for m in diag)):
+        c = mat_vec(Sinv, y)
+        vec = [0] * big.ambient
+        for coef, b in zip(c, big.vectors):
+            for i in range(big.ambient):
+                vec[i] += coef * b[i]
+        reps.append(affine_residue(small, tuple(vec)))
+    return QuotientResidues(big, small, prod(diag), tuple(sorted(set(reps))))
+
+
+def old_saturated_face_lattice(A, tau):
+    """_saturated_face_lattice with the Smith-form kernel."""
+    F = _span_equations(A, tau)
+    ZA = column_lattice(A)
+    FZ = tuple(tuple(dot(f, z) for z in ZA.vectors) for f in F)
+    if not any(any(row) for row in FZ):
+        return ZA
+    gens = [
+        tuple(sum(c * z[i] for c, z in zip(coefs, ZA.vectors)) for i in range(A.d))
+        for coefs in old_integer_kernel(FZ, len(ZA.vectors))
+    ]
+    return LatticeBasis.from_generators(A.d, gens)
+
+
 def old_e_tau(A, tau, beta):
     """The residues of E_tau(beta), every piece of face data rebuilt."""
     beta = tuple(Fraction(x) for x in beta)
@@ -348,14 +424,14 @@ def old_e_tau(A, tau, beta):
     Zcols = ZA.vectors
     FZ = tuple(tuple(dot(f, z) for z in Zcols) for f in F)
     Fbeta = tuple(dot(f, beta) for f in F)
-    c = integer_solve(FZ, Fbeta)
+    c = old_integer_solve(FZ, Fbeta)
     if c is None:
         return ()
     lam0 = vec_sub(beta, tuple(
         sum(ci * z[i] for ci, z in zip(c, Zcols)) for i in range(A.d)
     ))
-    big = _saturated_face_lattice(A, tau)
-    quo = quotient_representatives(big, sub)
+    big = old_saturated_face_lattice(A, tau)
+    quo = old_quotient_representatives(big, sub)
     kept = []
     for rep in quo.representatives:
         lam = tuple(a + b for a, b in zip(lam0, rep))
@@ -619,7 +695,7 @@ def test_invert_unimodular_matches_columnwise_solves():
         k = rng.randint(0, 5)
         U = random_unimodular(rng, k)
         assert invert_unimodular(U) == old_invert_unimodular(U)
-    # the Smith transforms, the inverses the library actually takes
+    # the Smith transforms, whose inverses the Smith-form oracles take
     for _ in range(200):
         d, n = rng.randint(1, 4), rng.randint(1, 5)
         _D, S, T = smith_normal_form(tuple(random_rows(rng, d, n)))
@@ -627,17 +703,130 @@ def test_invert_unimodular_matches_columnwise_solves():
             assert invert_unimodular(M) == old_invert_unimodular(M)
 
 
-def test_smith_diagonal_product_is_the_absolute_determinant():
+def test_hermite_diagonal_product_is_the_absolute_determinant():
     rng = random.Random(8103)
     singular = 0
     for _ in range(600):
         k = rng.randint(1, 5)
         rows = tuple(random_rows(rng, k, k))
-        D, _S, _T = smith_normal_form(rows)
-        vol = prod(D[i][i] for i in range(k))
+        H, _U = hermite_normal_form(rows)
+        vol = prod(H[i][i] for i in range(k))
         assert vol == abs(old_det(rows))
+        D, _S, _T = smith_normal_form(rows)
+        assert vol == prod(D[i][i] for i in range(k))
         singular += vol == 0
     assert singular > 50
+
+
+def test_integer_solve_matches_the_smith_form():
+    """The same solvability as the Smith-form solve, and every solution
+    returned solves the system, on non-square and rank-deficient systems
+    with integer and rational right-hand sides."""
+    rng = random.Random(8108)
+    solved = unsolved = deficient = rational = 0
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 6)
+        rows = random_rows(rng, nrows, ncols)
+        kind = rng.randrange(4)
+        if kind == 0:
+            # the image of an integer vector: always solvable
+            rhs = mat_vec(rows, [rng.randint(-5, 5) for _ in range(ncols)])
+        elif kind == 1:
+            rhs = tuple(rng.randint(-6, 6) for _ in rows)
+        else:
+            rhs = random_rhs(rng, rows, ncols)
+            rational += any(Fraction(x).denominator > 1 for x in rhs)
+        new = integer_solve(rows, rhs)
+        old = old_integer_solve(rows, rhs)
+        assert (new is None) == (old is None), (rows, rhs)
+        if new is not None:
+            assert all(type(x) is int for x in new)
+            assert mat_vec(rows, new) == tuple(rhs), (rows, rhs)
+        solved += new is not None
+        unsolved += new is None
+        deficient += rational_rank(rows) < nrows
+    assert solved > 150 and unsolved > 100 and deficient > 100 and rational > 100
+    for rows, rhs in ((((),), (0,)), (((),), (1,)), (((0, 0),), (Fraction(1, 2),))):
+        assert integer_solve(rows, rhs) == old_integer_solve(rows, rhs)
+
+
+def integer_kernel_cases():
+    rng = random.Random(8109)
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        yield random_rows(rng, rng.randint(0, 4), ncols), ncols
+
+
+def test_integer_kernel_matches_the_smith_form():
+    """The Hermite kernel spans the lattice the Smith kernel spans."""
+    ranks = set()
+    for rows, ncols in integer_kernel_cases():
+        new = integer_kernel(rows, ncols)
+        for v in new:
+            assert mat_vec(rows, v) == (0,) * len(rows)
+        lattice = LatticeBasis.from_generators(ncols, new)
+        assert lattice == LatticeBasis.from_generators(ncols, old_integer_kernel(rows, ncols))
+        ranks.add(lattice.rank)
+    assert ranks == {0, 1, 2, 3, 4, 5, 6}
+
+
+def random_sublattice(rng, big):
+    """The lattice of k random combinations of big's basis, k = its rank;
+    every other one has the elementary divisors of a random diagonal."""
+    k = big.rank
+    if rng.random() < 0.5:
+        P, Q = random_unimodular(rng, k), random_unimodular(rng, k)
+        diag = [rng.randint(1, 3) for _ in range(k)]
+        C = [[sum(P[i][t] * diag[t] * Q[t][j] for t in range(k)) for j in range(k)]
+             for i in range(k)]
+    else:
+        while True:
+            C = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+            if rational_rank(C) == k:
+                break
+    gens = [
+        tuple(sum(C[i][j] * b[t] for i, b in enumerate(big.vectors)) for t in range(big.ambient))
+        for j in range(k)
+    ]
+    return LatticeBasis.from_generators(big.ambient, gens)
+
+
+def test_quotient_representatives_match_the_smith_form():
+    """The same index and the same sorted coset list as the Smith box, on
+    seeded sublattices, the face quotients of the census matrices, and
+    non-cyclic quotients such as 2Z x 2Z in Z^2."""
+    rng = random.Random(8110)
+    pairs = []
+    Z2 = LatticeBasis.from_generators(2, ((1, 0), (0, 1)))
+    pairs.append((Z2, LatticeBasis.from_generators(2, ((2, 0), (0, 2)))))
+    Z3 = LatticeBasis.from_generators(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    pairs.append((Z3, LatticeBasis.from_generators(3, ((2, 0, 0), (0, 6, 0), (0, 0, 3)))))
+    for _ in range(200):
+        amb = rng.randint(1, 4)
+        big = LatticeBasis.from_generators(amb, random_rows(rng, rng.randint(1, amb + 1), amb))
+        pairs.append((big, random_sublattice(rng, big)))
+    for rows in CENSUS_MATRICES + (QUOTIENT_Z2_Z2,):
+        A = IntMatrix(rows)
+        for tau in face_lattice(A).proper_faces():
+            pairs.append((_saturated_face_lattice(A, tau), _face_sublattice(A, tau)))
+    noncyclic = 0
+    for big, small in pairs:
+        new = quotient_representatives(big, small)
+        assert new == old_quotient_representatives(big, small), (big, small)
+        if big.rank:
+            D, _S, _T = smith_normal_form(tuple(
+                tuple(big.member(v)[i] for v in small.vectors) for i in range(big.rank)))
+            noncyclic += sum(abs(D[i][i]) > 1 for i in range(big.rank)) > 1
+    assert noncyclic > 20
+    assert len(quotient_representatives(*pairs[0]).representatives) == 4
+
+
+def test_saturated_face_lattices_match_the_smith_kernel():
+    rng = random.Random(8112)
+    matrices = [IntMatrix(rows) for rows in CENSUS_MATRICES + (QUOTIENT_Z2_Z2,)]
+    for A in matrices + random_matrices(rng, 20):
+        for tau in face_lattice(A).faces:
+            assert _saturated_face_lattice(A, tau) == old_saturated_face_lattice(A, tau)
 
 
 def old_normalized_volume(A):
@@ -772,6 +961,9 @@ CENSUS_MATRICES = (
     ((1, 1, 1, 1), (0, 1, 3, 7)),
 )
 
+# its face (0, 2, 5) has the non-cyclic quotient Z/2 x Z/2
+QUOTIENT_Z2_Z2 = ((1, 1, 1, 1, 1, 1), (2, 2, 2, 3, 2, 0), (3, 1, 3, 0, 0, 3), (2, 1, 4, 2, 0, 2))
+
 
 def random_matrices(rng, count):
     """Homogeneous 3x4 and 3x5 matrices of full rank, entries 0..3."""
@@ -787,7 +979,7 @@ def random_matrices(rng, count):
 def test_e_tau_matches_the_per_call_rebuild():
     rng = random.Random(8111)
     matrices = [IntMatrix(rows) for rows in CENSUS_MATRICES] + random_matrices(rng, 20)
-    for A in matrices:
+    for A in matrices + [IntMatrix(QUOTIENT_Z2_Z2)]:
         for tau in face_lattice(A).faces:
             for den in (1, 1, 2, 3):
                 beta = tuple(Fraction(rng.randint(-3, 3), den) for _ in range(A.d))

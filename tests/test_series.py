@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import weyl_d, weyl_theta, weyl_x
 
 from ahyper.classify import iso_witness
 from ahyper.errors import InputError
@@ -23,11 +24,8 @@ from ahyper.series import (
 from ahyper.weyl import (
     WeylElement,
     contiguity_operator,
-    weyl_d,
     weyl_monomial,
     weyl_one,
-    weyl_theta,
-    weyl_x,
 )
 
 A_DEMO = IntMatrix(((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0)))

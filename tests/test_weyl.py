@@ -6,7 +6,14 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from helpers import euler_operator, in_left_toric_ideal, shift_bpoly
+from helpers import (
+    euler_operator,
+    in_left_toric_ideal,
+    shift_bpoly,
+    weyl_d,
+    weyl_theta,
+    weyl_x,
+)
 
 from ahyper.classify import iso_witness
 from ahyper.errors import InputError, InternalError
@@ -21,12 +28,9 @@ from ahyper.weyl import (
     substitute_euler,
     verify_certificate,
     verify_weight,
-    weyl_d,
     weyl_monomial,
     weyl_mul,
     weyl_one,
-    weyl_theta,
-    weyl_x,
 )
 
 A_DEMO = IntMatrix(((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0)))
