@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .cone import Face, FaceLattice, face_lattice, facets
 from .errors import InputError, InternalError, CHI_NOT_IN_LATTICE, NOT_MINIMAL
@@ -161,7 +162,7 @@ def _sign_split(v):
 
 def _conformal_leq(s, f):
     """Whether s lies in f's orthant and below f in every coordinate."""
-    return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(s, f))
+    return all(0 <= a <= b or b <= a <= 0 for a, b in zip(s, f))
 
 
 def _checked_binomial(A: IntMatrix, p) -> Binomial:
@@ -272,11 +273,34 @@ def _minimal_inhomogeneous_solutions(A: IntMatrix, chi):
     nodes have disjoint u and v supports and are stored as signed vectors
     w = u - v; domination by the remaining homogeneous pairs, the Graver
     elements, is then conformal comparison.
+
+    Both prunes are read off one index from (j, x), x != 0, to the Graver
+    elements and minimal solutions whose j-th entry is x.  The walk goes
+    level by level in |w|, and a frontier node w dominates no Graver
+    element and no minimal solution of its level or below.  Its child
+    w2 = w +- e_j differs from w only in coordinate j, where
+    |w2_j| = |w_j| + 1 with the same sign, so a prune below w2 but not
+    below w has j-th entry w2_j: only index[(j, w2_j)] is tested.  For the
+    minimal solutions this needs each level's solutions in the index
+    before the level is expanded (a solution of w's level below w is w
+    itself, and solutions are not expanded).  Entering them that early
+    prunes nodes of the next level that dominate a solution m of this one,
+    and no such node is needed: a solution above m differs from it by a
+    nonzero conformal kernel vector, so it dominates a Graver element, and
+    every descendant of the node dominates m as well.
     """
     d, n = A.d, A.n
     cols = [A.column(j) for j in range(n)]
     neg_cols = [tuple(-x for x in c) for c in cols]
-    prunes = sorted(graver_basis(A), key=lambda g: sum(abs(x) for x in g))
+    index: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def enter(p):
+        for j, x in enumerate(p):
+            if x:
+                index.setdefault((j, x), []).append(p)
+
+    for g in sorted(graver_basis(A), key=lambda g: sum(abs(x) for x in g)):
+        enter(g)
 
     zero = tuple(0 for _ in range(d))
     minimals: list[tuple[int, ...]] = []
@@ -284,10 +308,13 @@ def _minimal_inhomogeneous_solutions(A: IntMatrix, chi):
     frontier = {seed: tuple(-int(x) for x in chi)}
     seen = {seed}
     while frontier:
+        level = [w for w, val in frontier.items() if val == zero]
+        for w in level:
+            enter(w)
+        minimals.extend(level)
         nxt = {}
         for w, val in frontier.items():
             if val == zero:
-                minimals.append(w)
                 continue
             for j in range(n):
                 s = dot(val, cols[j])
@@ -297,15 +324,15 @@ def _minimal_inhomogeneous_solutions(A: IntMatrix, chi):
                     step, col = -1, neg_cols[j]
                 else:
                     continue
-                w2 = tuple(x + step if k == j else x for k, x in enumerate(w))
+                w2 = w[:j] + (w[j] + step,) + w[j + 1:]
                 if w2 in seen:
                     continue
-                if any(_conformal_leq(g, w2) for g in prunes):
-                    continue
-                if any(_conformal_leq(m, w2) for m in minimals):
-                    continue
-                seen.add(w2)
-                nxt[w2] = tuple(v + c for v, c in zip(val, col))
+                for p in index.get((j, w2[j]), ()):
+                    if _conformal_leq(p, w2):
+                        break
+                else:
+                    seen.add(w2)
+                    nxt[w2] = tuple(map(add, val, col))
         frontier = nxt
 
     return [_sign_split(w) for w in minimals]

@@ -2,7 +2,8 @@
 b-ideal variety membership, Weyl-side identities and the one-variable
 Weyl elements x_j, d_j and theta_j used as checks, and the Smith form with
 its unimodular inverse, kept as the oracle for the Hermite-form integer
-layer."""
+layer, and the minimal-solution search that scanned every prune, kept as
+the oracle for the indexed one."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,7 +13,16 @@ from ahyper.cone import facets
 from ahyper.errors import PARSE, InputError
 from ahyper.lattice import IntMatrix, _rref, dot, vec_sub, xgcd
 from ahyper.semigroup import _face_sublattice, in_NA
-from ahyper.toric import BIdeal, BPoly, divide, grevlex_key, leading_term, toric_ideal
+from ahyper.toric import (
+    BIdeal,
+    BPoly,
+    _sign_split,
+    divide,
+    graver_basis,
+    grevlex_key,
+    leading_term,
+    toric_ideal,
+)
 from ahyper.weyl import WeylElement, weyl_monomial
 
 
@@ -230,3 +240,51 @@ def invert_unimodular(U):
     if _rref(m) != list(range(k)):
         raise ValueError("matrix is not invertible")
     return tuple(tuple(int(x) for x in row[k:]) for row in m)
+
+
+def conformal_leq(s, f):
+    """Whether s lies in f's orthant and below f in every coordinate."""
+    return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(s, f))
+
+
+def old_minimal_inhomogeneous_solutions(A: IntMatrix, chi):
+    """The minimal (u, v) with A(u - v) = chi, by the same breadth-first
+    completion as `toric._minimal_inhomogeneous_solutions`, testing each
+    new node against every Graver element and every minimal solution
+    found so far."""
+    d, n = A.d, A.n
+    cols = [A.column(j) for j in range(n)]
+    neg_cols = [tuple(-x for x in c) for c in cols]
+    prunes = sorted(graver_basis(A), key=lambda g: sum(abs(x) for x in g))
+
+    zero = tuple(0 for _ in range(d))
+    minimals: list[tuple[int, ...]] = []
+    seed = tuple(0 for _ in range(n))
+    frontier = {seed: tuple(-int(x) for x in chi)}
+    seen = {seed}
+    while frontier:
+        nxt = {}
+        for w, val in frontier.items():
+            if val == zero:
+                minimals.append(w)
+                continue
+            for j in range(n):
+                s = dot(val, cols[j])
+                if s < 0 and w[j] >= 0:
+                    step, col = 1, cols[j]
+                elif s > 0 and w[j] <= 0:
+                    step, col = -1, neg_cols[j]
+                else:
+                    continue
+                w2 = tuple(x + step if k == j else x for k, x in enumerate(w))
+                if w2 in seen:
+                    continue
+                if any(conformal_leq(g, w2) for g in prunes):
+                    continue
+                if any(conformal_leq(m, w2) for m in minimals):
+                    continue
+                seen.add(w2)
+                nxt[w2] = tuple(v + c for v, c in zip(val, col))
+        frontier = nxt
+
+    return [_sign_split(w) for w in minimals]

@@ -205,9 +205,10 @@ def test_check_passes_on_examples_and_seeds():
     names = [p["name"] for p in doc["result"]["properties"]]
     assert "seminonresonant_profile_and_witness" in names
     assert "normal_rule_matches_residue_profiles" in names
-    seeded = run_json("check", "--seed", "7")
-    assert seeded["result"]["all_ok"] is True
-    assert seeded["input_echo"]["seed"] == 7
+    for seed in (1, 2, 3, 4, 7):
+        seeded = run_json("check", "--seed", str(seed))
+        assert seeded["result"]["all_ok"] is True
+        assert seeded["input_echo"]["seed"] == seed
 
 
 def test_module_entry_point():

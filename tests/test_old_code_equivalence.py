@@ -11,11 +11,13 @@ an invertible minor, two copies of the polynomial division loop, a
 Buchberger loop that saturated a kernel basis one variable at a time for
 the toric ideal and its Groebner bases, a star triangulation over
 enumerated supporting hyperplanes for the normalized volume, one solve
-per call for the coordinates of a vector in a lattice, and the Smith form
+per call for the coordinates of a vector in a lattice, the Smith form
 (kept in `helpers.py`) behind integer solves, integer kernels and coset
-lists.  The new code must return exactly what they return; where the
-Hermite form picks another particular solution or kernel basis, it must
-give the same solvability and span the same lattice.
+lists, and the minimal-solution search (kept in `helpers.py`) that tested
+each new node against every Graver element and every minimal solution.
+The new code must return exactly what they return; where the Hermite form
+picks another particular solution or kernel basis, it must give the same
+solvability and span the same lattice.
 """
 
 import random
@@ -23,7 +25,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm, prod
 
-from helpers import invert_unimodular, smith_normal_form
+from helpers import (
+    conformal_leq,
+    invert_unimodular,
+    old_minimal_inhomogeneous_solutions,
+    smith_normal_form,
+)
 
 from ahyper.classify import normalized_volume
 from ahyper.cone import face_lattice, positive_functional
@@ -56,7 +63,10 @@ from ahyper.semigroup import (
 )
 from ahyper.series import kernel_ball
 from ahyper.toric import (
+    _conformal_leq,
+    _minimal_inhomogeneous_solutions,
     divide,
+    graver_basis,
     grevlex_key,
     leading_term,
     mono_divides,
@@ -65,7 +75,15 @@ from ahyper.toric import (
     toric_ideal,
 )
 
-# the benchmark's witness matrices
+# the benchmark's witness matrices, and the column pairs whose sums it
+# shifts by besides the single columns
+WITNESS_PAIRS = (
+    tuple(combinations(range(4), 2)),
+    tuple(combinations(range(4), 2)),
+    ((0, 1), (2, 3)),
+    (),
+    (),
+)
 WITNESS_MATRICES = (
     ((1, 1, 1, 1), (0, 0, 1, 2), (0, 1, 1, 0)),
     ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, -1)),
@@ -1079,3 +1097,65 @@ def test_groebner_bases_match_the_saturating_buchberger():
             assert [list(p) for p in G] == [list(p) for p in old]
         empty += not old_gens
     assert empty >= 1
+
+
+# ---------------------------------------------------------------------------
+# minimal inhomogeneous solutions
+
+
+def witness_shifts():
+    """Every shift the witness workload asks for, and its negative."""
+    for rows, pairs in zip(WITNESS_MATRICES, WITNESS_PAIRS):
+        A = IntMatrix(rows)
+        for js in [(j,) for j in range(A.n)] + list(pairs):
+            chi = tuple(sum(A.column(j)[i] for j in js) for i in range(A.d))
+            yield A, chi
+            yield A, tuple(-x for x in chi)
+
+
+def random_shifts(rng, count):
+    """Full-rank 2x3, 2x4, 2x5 and 3x4 matrices with a first row of ones
+    and entries 0..3, each with plus or minus one or two column sums."""
+    out = []
+    while len(out) < count:
+        d, n = rng.choice(((2, 3), (2, 4), (2, 5), (3, 4)))
+        rows = ((1,) * n,) + tuple(
+            tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(d - 1)
+        )
+        if rational_rank(rows) < d:
+            continue
+        A = IntMatrix(rows)
+        js = rng.sample(range(n), rng.randint(1, 2))
+        sign = rng.choice((1, -1))
+        out.append((A, tuple(sign * sum(A.column(j)[i] for j in js) for i in range(d))))
+    return out
+
+
+def assert_minimal_solutions(A, chi, sols):
+    """Each pair solves A(u - v) = chi with disjoint supports, and no
+    returned w = u - v dominates another one or a Graver element."""
+    ws = []
+    for u, v in sols:
+        assert min(u + v) >= 0 and not any(a and b for a, b in zip(u, v))
+        assert A.apply(vec_sub(u, v)) == tuple(chi)
+        ws.append(vec_sub(u, v))
+    assert len(set(ws)) == len(ws)
+    for w in ws:
+        assert not any(m != w and conformal_leq(m, w) for m in ws), (A.entries, chi, w)
+        assert not any(conformal_leq(g, w) for g in graver_basis(A)), (A.entries, chi, w)
+
+
+def test_conformal_leq_matches_the_product_form():
+    for s, f in product(product(range(-2, 3), repeat=2), repeat=2):
+        assert _conformal_leq(s, f) == conformal_leq(s, f), (s, f)
+
+
+def test_minimal_solutions_match_the_full_prune_scan():
+    cases = list(witness_shifts()) + random_shifts(random.Random(8131), 150)
+    total = 0
+    for A, chi in cases:
+        sols = _minimal_inhomogeneous_solutions(A, chi)
+        assert sorted(sols) == sorted(old_minimal_inhomogeneous_solutions(A, chi)), (A.entries, chi)
+        assert_minimal_solutions(A, chi, sols)
+        total += len(sols)
+    assert len(cases) > 200 and total > 900

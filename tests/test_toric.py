@@ -7,13 +7,15 @@ Graver minimality by a box scan, and b-ideal varieties by rational linear
 solvability of the parameterization with frozen off-face coordinates.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from helpers import v_b_member
+from helpers import conformal_leq, v_b_member
 
+from ahyper import toric
 from ahyper.cone import face_lattice, facets
 from ahyper.errors import InputError
 from ahyper.lattice import (
@@ -97,10 +99,6 @@ def degree_box(n, maxdeg):
 
     walk(0, maxdeg, [])
     return out
-
-
-def conformal_leq(s, f):
-    return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(s, f))
 
 
 def random_homogeneous(rng, d, n):
@@ -554,3 +552,44 @@ def test_curve_shift_ideal_and_b_ideal():
     grid = [(Fraction(x), Fraction(y)) for x in range(-1, 4) for y in range(-2, 12)]
     for beta in grid:
         assert v_b_member(B, beta) == distraction_member(A, B, beta)
+
+
+# sha256 of repr(sorted(minimal_solutions(A_CURVE, chi))), recorded with the
+# search that tested each node against every prune
+CURVE_SOLUTION_HASHES = {
+    (1, 0): "8c9b4bdc195eda5b404b3f406a0d61475431e21b3f15fc08ada53536139a828e",
+    (1, 2): "c886da4935a1bacff874ecfa120bcbbb49646b78a73bc8aada93e26c52ac1603",
+}
+
+
+def test_curve_minimal_solutions_pinned():
+    # both searches are cached by the tests above and by criterion 6
+    A = IntMatrix(A_CURVE)
+    for chi, digest in CURVE_SOLUTION_HASHES.items():
+        sols = sorted(minimal_solutions(A, chi))
+        assert len(sols) == 38
+        assert hashlib.sha256(repr(sols).encode()).hexdigest() == digest
+
+
+def test_curve_search_work_counts(monkeypatch):
+    A = IntMatrix(A_CURVE)
+    graver_basis(A)  # built, and cached, outside the counts
+    calls = {"compare": 0, "dot": 0}
+
+    def counted(name, fn):
+        def wrapped(a, b):
+            calls[name] += 1
+            return fn(a, b)
+        return wrapped
+
+    monkeypatch.setattr(toric, "_conformal_leq", counted("compare", toric._conformal_leq))
+    monkeypatch.setattr(toric, "dot", counted("dot", toric.dot))
+    assert len(toric._minimal_inhomogeneous_solutions(A, (1, 2))) == 38
+    # the indexed search makes 486,636 comparisons; testing each node
+    # against every Graver element and every minimal solution made
+    # 25,392,409
+    assert calls["compare"] < 2_000_000
+    # one dot product per column and expanded node: 917,920 with each
+    # level's solutions indexed before the level expands; 1,066,960 when
+    # each is indexed as the walk meets it, 2,914,895 when none is
+    assert calls["dot"] < 1_000_000
