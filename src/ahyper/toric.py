@@ -4,7 +4,8 @@ Polynomials live in a commutative ring k[x_1..x_n] encoded as dicts from
 exponent tuples to Fractions.  There is one completion procedure, the
 Graver basis of the kernel lattice; the reduced Groebner bases of I_A are
 read off it, since it contains every one of them (Sturmfels, Groebner
-Bases and Convex Polytopes, ch. 4).
+Bases and Convex Polytopes, ch. 4), and the minimal solutions behind M_chi
+are the closure of one solution under its steps.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .cone import Face, FaceLattice, face_lattice, facets
 from .errors import InputError, InternalError, CHI_NOT_IN_LATTICE, NOT_MINIMAL
@@ -21,7 +21,9 @@ from .lattice import (
     IntMatrix,
     column_lattice,
     dot,
+    integer_solve,
     kernel_lattice,
+    vec_add,
     vec_sub,
 )
 
@@ -165,6 +167,20 @@ def _conformal_leq(s, f):
     return all(0 <= a <= b or b <= a <= 0 for a, b in zip(s, f))
 
 
+def _conformal_normal_form(f, pool):
+    """f less elements of pool, each conformally below what is left of f
+    when it is subtracted, until none is."""
+    changed = True
+    while changed and any(f):
+        changed = False
+        for s in pool:
+            if _conformal_leq(s, f):
+                f = vec_sub(f, s)
+                changed = True
+                break
+    return f
+
+
 def _checked_binomial(A: IntMatrix, p) -> Binomial:
     if len(p) != 2:
         raise InternalError(NOT_MINIMAL, "toric basis element is not binomial")
@@ -223,26 +239,15 @@ def graver_basis(A: IntMatrix) -> tuple[tuple[int, ...], ...]:
         gens.append(b)
         gens.append(tuple(-x for x in b))
 
-    def normal_form(f, pool):
-        changed = True
-        while changed and any(f):
-            changed = False
-            for s in pool:
-                if _conformal_leq(s, f):
-                    f = vec_sub(f, s)
-                    changed = True
-                    break
-        return f
-
     pool: list[tuple[int, ...]] = []
     for g in gens:
-        g = normal_form(g, pool)
+        g = _conformal_normal_form(g, pool)
         if any(g):
             pool.append(g)
     queue = [(pool[i], pool[j]) for i in range(len(pool)) for j in range(i, len(pool))]
     while queue:
         f, g = queue.pop()
-        h = normal_form(tuple(a + b for a, b in zip(f, g)), pool)
+        h = _conformal_normal_form(vec_add(f, g), pool)
         if any(h):
             queue.extend((h, p) for p in pool)
             queue.append((h, h))
@@ -253,89 +258,53 @@ def graver_basis(A: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def _minimal_inhomogeneous_solutions(A: IntMatrix, chi):
-    """Minimal (u, v) in N^n x N^n with A(u - v) = chi, by completion.
+    """Minimal (u, v) in N^n x N^n with A(u - v) = chi, as the closure of
+    one solution under Graver steps.
 
-    Runs the completion procedure on the homogenized system
-    [A | -A | -chi] z = 0, seeded at the homogenizing unit vector and never
-    incrementing that coordinate.  The stepping lemma (from any y below a
-    minimal solution z with By != 0 there is i with y + e_i <= z and
-    <By, Be_i> < 0) applies to y in the t = 1 slice, so every minimal
-    solution with t = 1 is still reached, and the pure-kernel part of the
-    doubled system is never explored.
+    The minimal pairs have disjoint supports, so they are the w = u - v
+    that are conformally minimal in the coset w0 + ker A of any integer
+    solution w0.  With G the Graver basis (both signs) and NF the
+    conformal normal form against G, the result is the closure S of
+    {NF(w0)} under h -> NF(h + g), g in G.  S is exactly the set of
+    minimal solutions:
 
-    Nodes dominating a nonzero homogeneous pair are pruned.  Subtracting
-    that pair from any minimal solution above the node would leave a
-    smaller solution, so chains leading to minimal solutions never cross
-    the prune; conversely an unbounded run of the frontier must revisit a
-    value and hence dominate some homogeneous pair, so the walk terminates.
+    (a) An NF-irreducible coset element w is minimal.  If another coset
+    element m lay conformally below w, then w - m would be a nonzero
+    kernel vector conformally below w; its conformal Graver decomposition
+    puts some g below w, so w was not irreducible.  Hence S holds only
+    minimal solutions, of which there are finitely many, and the closure
+    ends.
 
-    Since the diagonal pairs (e_j, e_j) are among the prunes, surviving
-    nodes have disjoint u and v supports and are stored as signed vectors
-    w = u - v; domination by the remaining homogeneous pairs, the Graver
-    elements, is then conformal comparison.
+    (b) Every minimal solution m is in S.  Write m = s + sum g_i with s in
+    S and each g_i in G, choosing the least total 1-norm |s| + sum |g_i|;
+    such sums exist, since m - s is a kernel vector and hence a sum of
+    Graver elements.  If two summands had opposite signs in some
+    coordinate, replacing them by a conformal representation of their sum
+    would lower the norm: for two Graver elements the Graver property
+    gives one, and for s + g the normal form gives one, s' + sum r_k with
+    s' = NF(s + g) in S and every piece conformally below s + g.  So the
+    representation is conformal, s lies conformally below m, and since m
+    is minimal, s = m.
 
-    Both prunes are read off one index from (j, x), x != 0, to the Graver
-    elements and minimal solutions whose j-th entry is x.  The walk goes
-    level by level in |w|, and a frontier node w dominates no Graver
-    element and no minimal solution of its level or below.  Its child
-    w2 = w +- e_j differs from w only in coordinate j, where
-    |w2_j| = |w_j| + 1 with the same sign, so a prune below w2 but not
-    below w has j-th entry w2_j: only index[(j, w2_j)] is tested.  For the
-    minimal solutions this needs each level's solutions in the index
-    before the level is expanded (a solution of w's level below w is w
-    itself, and solutions are not expanded).  Entering them that early
-    prunes nodes of the next level that dominate a solution m of this one,
-    and no such node is needed: a solution above m differs from it by a
-    nonzero conformal kernel vector, so it dominates a Graver element, and
-    every descendant of the node dominates m as well.
+    This is Hemmecke's completion (On the computation of Hilbert bases of
+    cones, ICMS 2002) on the lattice {(w, t) : Aw = t chi}, truncated to
+    the slice t = 1.
     """
-    d, n = A.d, A.n
-    cols = [A.column(j) for j in range(n)]
-    neg_cols = [tuple(-x for x in c) for c in cols]
-    index: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-    def enter(p):
-        for j, x in enumerate(p):
-            if x:
-                index.setdefault((j, x), []).append(p)
-
-    for g in sorted(graver_basis(A), key=lambda g: sum(abs(x) for x in g)):
-        enter(g)
-
-    zero = tuple(0 for _ in range(d))
-    minimals: list[tuple[int, ...]] = []
-    seed = tuple(0 for _ in range(n))
-    frontier = {seed: tuple(-int(x) for x in chi)}
-    seen = {seed}
-    while frontier:
-        level = [w for w, val in frontier.items() if val == zero]
-        for w in level:
-            enter(w)
-        minimals.extend(level)
-        nxt = {}
-        for w, val in frontier.items():
-            if val == zero:
-                continue
-            for j in range(n):
-                s = dot(val, cols[j])
-                if s < 0 and w[j] >= 0:
-                    step, col = 1, cols[j]
-                elif s > 0 and w[j] <= 0:
-                    step, col = -1, neg_cols[j]
-                else:
-                    continue
-                w2 = w[:j] + (w[j] + step,) + w[j + 1:]
-                if w2 in seen:
-                    continue
-                for p in index.get((j, w2[j]), ()):
-                    if _conformal_leq(p, w2):
-                        break
-                else:
-                    seen.add(w2)
-                    nxt[w2] = tuple(map(add, val, col))
-        frontier = nxt
-
-    return [_sign_split(w) for w in minimals]
+    w0 = integer_solve(A.entries, chi)
+    if w0 is None:
+        return []
+    G = graver_basis(A)
+    start = _conformal_normal_form(w0, G)
+    closure = {start}
+    todo = [start]
+    while todo:
+        h = todo.pop()
+        for g in G:
+            s = _conformal_normal_form(vec_add(h, g), G)
+            if s not in closure:
+                closure.add(s)
+                todo.append(s)
+    return [_sign_split(w) for w in sorted(closure)]
 
 
 @lru_cache(maxsize=PARAMETER_CACHE_SIZE)

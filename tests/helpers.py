@@ -2,11 +2,13 @@
 b-ideal variety membership, Weyl-side identities and the one-variable
 Weyl elements x_j, d_j and theta_j used as checks, and the Smith form with
 its unimodular inverse, kept as the oracle for the Hermite-form integer
-layer, and the minimal-solution search that scanned every prune, kept as
-the oracle for the indexed one."""
+layer, and two breadth-first minimal-solution searches, one scanning every
+prune and one reading the prunes off an index, kept as the oracles for
+the Graver closure."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from ahyper.classify import curve_facet_indices, curve_semigroups
 from ahyper.cone import facets
@@ -16,6 +18,7 @@ from ahyper.semigroup import _face_sublattice, in_NA
 from ahyper.toric import (
     BIdeal,
     BPoly,
+    _conformal_leq,
     _sign_split,
     divide,
     graver_basis,
@@ -249,7 +252,7 @@ def conformal_leq(s, f):
 
 def old_minimal_inhomogeneous_solutions(A: IntMatrix, chi):
     """The minimal (u, v) with A(u - v) = chi, by the same breadth-first
-    completion as `toric._minimal_inhomogeneous_solutions`, testing each
+    completion as `indexed_minimal_inhomogeneous_solutions`, testing each
     new node against every Graver element and every minimal solution
     found so far."""
     d, n = A.d, A.n
@@ -285,6 +288,94 @@ def old_minimal_inhomogeneous_solutions(A: IntMatrix, chi):
                     continue
                 seen.add(w2)
                 nxt[w2] = tuple(v + c for v, c in zip(val, col))
+        frontier = nxt
+
+    return [_sign_split(w) for w in minimals]
+
+
+def indexed_minimal_inhomogeneous_solutions(A: IntMatrix, chi):
+    """Minimal (u, v) in N^n x N^n with A(u - v) = chi, by the
+    breadth-first completion with a prune index that the Graver closure of
+    `toric._minimal_inhomogeneous_solutions` replaced.
+
+    Runs the completion procedure on the homogenized system
+    [A | -A | -chi] z = 0, seeded at the homogenizing unit vector and never
+    incrementing that coordinate.  The stepping lemma (from any y below a
+    minimal solution z with By != 0 there is i with y + e_i <= z and
+    <By, Be_i> < 0) applies to y in the t = 1 slice, so every minimal
+    solution with t = 1 is still reached, and the pure-kernel part of the
+    doubled system is never explored.
+
+    Nodes dominating a nonzero homogeneous pair are pruned.  Subtracting
+    that pair from any minimal solution above the node would leave a
+    smaller solution, so chains leading to minimal solutions never cross
+    the prune; conversely an unbounded run of the frontier must revisit a
+    value and hence dominate some homogeneous pair, so the walk terminates.
+
+    Since the diagonal pairs (e_j, e_j) are among the prunes, surviving
+    nodes have disjoint u and v supports and are stored as signed vectors
+    w = u - v; domination by the remaining homogeneous pairs, the Graver
+    elements, is then conformal comparison.
+
+    Both prunes are read off one index from (j, x), x != 0, to the Graver
+    elements and minimal solutions whose j-th entry is x.  The walk goes
+    level by level in |w|, and a frontier node w dominates no Graver
+    element and no minimal solution of its level or below.  Its child
+    w2 = w +- e_j differs from w only in coordinate j, where
+    |w2_j| = |w_j| + 1 with the same sign, so a prune below w2 but not
+    below w has j-th entry w2_j: only index[(j, w2_j)] is tested.  For the
+    minimal solutions this needs each level's solutions in the index
+    before the level is expanded (a solution of w's level below w is w
+    itself, and solutions are not expanded).  Entering them that early
+    prunes nodes of the next level that dominate a solution m of this one,
+    and no such node is needed: a solution above m differs from it by a
+    nonzero conformal kernel vector, so it dominates a Graver element, and
+    every descendant of the node dominates m as well.
+    """
+    d, n = A.d, A.n
+    cols = [A.column(j) for j in range(n)]
+    neg_cols = [tuple(-x for x in c) for c in cols]
+    index: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def enter(p):
+        for j, x in enumerate(p):
+            if x:
+                index.setdefault((j, x), []).append(p)
+
+    for g in sorted(graver_basis(A), key=lambda g: sum(abs(x) for x in g)):
+        enter(g)
+
+    zero = tuple(0 for _ in range(d))
+    minimals: list[tuple[int, ...]] = []
+    seed = tuple(0 for _ in range(n))
+    frontier = {seed: tuple(-int(x) for x in chi)}
+    seen = {seed}
+    while frontier:
+        level = [w for w, val in frontier.items() if val == zero]
+        for w in level:
+            enter(w)
+        minimals.extend(level)
+        nxt = {}
+        for w, val in frontier.items():
+            if val == zero:
+                continue
+            for j in range(n):
+                s = dot(val, cols[j])
+                if s < 0 and w[j] >= 0:
+                    step, col = 1, cols[j]
+                elif s > 0 and w[j] <= 0:
+                    step, col = -1, neg_cols[j]
+                else:
+                    continue
+                w2 = w[:j] + (w[j] + step,) + w[j + 1:]
+                if w2 in seen:
+                    continue
+                for p in index.get((j, w2[j]), ()):
+                    if _conformal_leq(p, w2):
+                        break
+                else:
+                    seen.add(w2)
+                    nxt[w2] = tuple(map(add, val, col))
         frontier = nxt
 
     return [_sign_split(w) for w in minimals]

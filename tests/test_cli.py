@@ -205,7 +205,7 @@ def test_check_passes_on_examples_and_seeds():
     names = [p["name"] for p in doc["result"]["properties"]]
     assert "seminonresonant_profile_and_witness" in names
     assert "normal_rule_matches_residue_profiles" in names
-    for seed in (1, 2, 3, 4, 7):
+    for seed in (0, 1, 2, 3, 4, 7):
         seeded = run_json("check", "--seed", str(seed))
         assert seeded["result"]["all_ok"] is True
         assert seeded["input_echo"]["seed"] == seed

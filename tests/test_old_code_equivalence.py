@@ -13,8 +13,10 @@ the toric ideal and its Groebner bases, a star triangulation over
 enumerated supporting hyperplanes for the normalized volume, one solve
 per call for the coordinates of a vector in a lattice, the Smith form
 (kept in `helpers.py`) behind integer solves, integer kernels and coset
-lists, and the minimal-solution search (kept in `helpers.py`) that tested
-each new node against every Graver element and every minimal solution.
+lists, and the breadth-first minimal-solution searches (kept in
+`helpers.py`) that tested each new node against every Graver element and
+every minimal solution, or against those an index listed under the
+stepped coordinate.
 The new code must return exactly what they return; where the Hermite form
 picks another particular solution or kernel basis, it must give the same
 solvability and span the same lattice.
@@ -27,6 +29,7 @@ from math import lcm, prod
 
 from helpers import (
     conformal_leq,
+    indexed_minimal_inhomogeneous_solutions,
     invert_unimodular,
     old_minimal_inhomogeneous_solutions,
     smith_normal_form,
@@ -1156,6 +1159,7 @@ def test_minimal_solutions_match_the_full_prune_scan():
     for A, chi in cases:
         sols = _minimal_inhomogeneous_solutions(A, chi)
         assert sorted(sols) == sorted(old_minimal_inhomogeneous_solutions(A, chi)), (A.entries, chi)
+        assert sorted(sols) == sorted(indexed_minimal_inhomogeneous_solutions(A, chi)), (A.entries, chi)
         assert_minimal_solutions(A, chi, sols)
         total += len(sols)
     assert len(cases) > 200 and total > 900

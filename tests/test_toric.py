@@ -23,6 +23,7 @@ from ahyper.lattice import (
     LatticeBasis,
     dot,
     homogeneity_witness,
+    rational_rank,
     solve_rational,
     vec_add,
     vec_sub,
@@ -585,11 +586,64 @@ def test_curve_search_work_counts(monkeypatch):
     monkeypatch.setattr(toric, "_conformal_leq", counted("compare", toric._conformal_leq))
     monkeypatch.setattr(toric, "dot", counted("dot", toric.dot))
     assert len(toric._minimal_inhomogeneous_solutions(A, (1, 2))) == 38
-    # the indexed search makes 486,636 comparisons; testing each node
-    # against every Graver element and every minimal solution made
-    # 25,392,409
+    # the Graver closure makes 575,770 comparisons and no dot product
     assert calls["compare"] < 2_000_000
-    # one dot product per column and expanded node: 917,920 with each
-    # level's solutions indexed before the level expands; 1,066,960 when
-    # each is indexed as the walk meets it, 2,914,895 when none is
     assert calls["dot"] < 1_000_000
+
+
+def test_curve_closure_work_bound(monkeypatch):
+    A = IntMatrix(A_CURVE)
+    G = graver_basis(A)  # built, and cached, outside the counts
+    calls = {"normal_form": 0, "compare": 0}
+    normal_form, compare = toric._conformal_normal_form, toric._conformal_leq
+
+    def counted_normal_form(f, pool):
+        calls["normal_form"] += 1
+        return normal_form(f, pool)
+
+    def counted_compare(s, f):
+        calls["compare"] += 1
+        return compare(s, f)
+
+    monkeypatch.setattr(toric, "_conformal_normal_form", counted_normal_form)
+    monkeypatch.setattr(toric, "_conformal_leq", counted_compare)
+    sols = toric._minimal_inhomogeneous_solutions(A, (1, 2))
+    assert (len(sols), len(G)) == (38, 92)
+    # one normal form for the first solution, then one per solution and
+    # Graver step: 3,497
+    assert calls["normal_form"] <= (len(sols) + 1) * len(G)
+    # 575,770 comparisons
+    assert calls["compare"] < 1_000_000
+
+
+def test_minimal_solutions_match_a_box_scan_on_random_3x5():
+    """Every point conformally below a point of the box [-3, 3]^5 lies in
+    the box, so the conformally minimal points of the coset
+    {w in box : Aw = chi} are exactly the minimal solutions w = u - v
+    inside the box."""
+    rng = random.Random(2315)
+    box = list(product(range(-3, 4), repeat=5))
+    cases = inside = total = 0
+    while cases < 25:
+        rows = ((1,) * 5,) + tuple(tuple(rng.randint(0, 3) for _ in range(5)) for _ in range(2))
+        if rational_rank(rows) < 3:
+            continue
+        A = IntMatrix(rows)
+        js = rng.sample(range(5), rng.randint(1, 2))
+        sign = rng.choice((1, -1))
+        chi = tuple(sign * sum(A.column(j)[i] for j in js) for i in range(3))
+        coset = [w for w in box if sum(w) == chi[0] and A.apply(w) == chi]
+        minimal = {w for w in coset if not any(m != w and conformal_leq(m, w) for m in coset)}
+        sols = toric._minimal_inhomogeneous_solutions(A, chi)
+        assert {vec_sub(u, v) for u, v in sols if max(u + v) <= 3} == minimal, (rows, chi)
+        cases += 1
+        inside += len(minimal)
+        total += len(sols)
+    # 96 of the 139 solutions lie inside the box
+    assert inside > 80 and total > inside
+
+
+def test_minimal_solutions_off_the_lattice_and_at_zero():
+    A = IntMatrix(((1, 1, 1), (0, 2, 4)))
+    assert toric._minimal_inhomogeneous_solutions(A, (0, 1)) == []
+    assert toric._minimal_inhomogeneous_solutions(A, (0, 0)) == [((0, 0, 0), (0, 0, 0))]
